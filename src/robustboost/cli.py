@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: train, predict, sweep, ablate, report. Configuration is a
-plain-text key=value file (see README for the key list). Exit codes:
-0 success, 1 runtime failure, 2 configuration error.
+plain-text key=value file whose keys are those of CONFIG_KEYS (README
+lists them). Exit codes: 0 success, 1 data or runtime failure, 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -10,21 +11,20 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 
-from .booster import (BoosterConfig, BoosterConfigError, deserialize, fit,
-                      predict_label, predict_proba, serialize)
-from .data import load_csv, train_test_split
-from .experiment import (DEFAULT_GRID_LR, DEFAULT_GRID_Q, DEFAULT_GRID_R,
-                         DEFAULT_GRID_ROUNDS, DEFAULT_NOISE_LEVELS,
-                         ExperimentConfig, MethodSpec, default_method,
-                         load_experiment_dataset, read_results, run_ablation,
-                         run_sweep)
-from .losses import LossConfigError, LossSpec
-from .metrics import accuracy, aucpr, rank_methods
+from .booster import BoosterConfig, deserialize, fit, predict_proba, serialize
+from .experiment import (ExperimentConfig, default_method, load_experiment_dataset,
+                         read_results, run_ablation, run_sweep, task_metric)
+from .losses import LossSpec
+from .metrics import rank_methods
+from .synthetic import GENERATORS
 from .tree import TreeConfig
 
 EXIT_OK, EXIT_RUNTIME, EXIT_CONFIG = 0, 1, 2
@@ -52,21 +52,15 @@ def parse_config_file(path) -> dict:
     return out
 
 
-def _get(cfg, key, default, conv=str):
-    if key not in cfg:
-        return default
-    try:
-        return conv(cfg[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config key {key!r}: cannot parse {cfg[key]!r}") from exc
+def _float(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
-def _floats(text):
-    return tuple(float(t) for t in text.split(",") if t.strip())
-
-
-def _ints(text):
-    return tuple(int(t) for t in text.split(",") if t.strip())
+def _list(conv):
+    return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
 
 
 def _bool(text):
@@ -78,89 +72,85 @@ def _bool(text):
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def loss_spec_from_config(cfg) -> LossSpec:
-    return LossSpec(
-        family=_get(cfg, "family", "rfl"),
-        r=_get(cfg, "r", 1.0, float),
-        q=_get(cfg, "q", 0.5, float),
-        eta=_get(cfg, "eta", 1e-2, float),
-        sce_alpha=_get(cfg, "sce_alpha", 1.0, float),
-        sce_beta=_get(cfg, "sce_beta", 1.0, float),
-        focal_wrap=_get(cfg, "focal_wrap", False, _bool),
-    )
+def _dataset(text):
+    kind, _, name = text.partition(":")
+    if kind == "synthetic" and name not in GENERATORS:
+        raise ValueError(f"unknown synthetic dataset {name!r}; choose from {sorted(GENERATORS)}")
+    return text
 
 
-def tree_config_from_config(cfg) -> TreeConfig:
-    return TreeConfig(
-        lam=_get(cfg, "lam", 1.0, float),
-        min_samples_leaf=_get(cfg, "min_samples_leaf", 1, int),
-        min_sum_hessian=_get(cfg, "min_sum_hessian", 1e-3, float),
-        min_gain=_get(cfg, "min_gain", 0.0, float),
-        max_depth=_get(cfg, "max_depth", 6, int),
-        max_leaves=_get(cfg, "max_leaves", 31, int),
-    )
+# Each row: config keys, their parser, and the subcommands that read them,
+# each mapped to the group whose constructor receives a key under its own
+# name. A key left out of the file keeps the default of the dataclass (or
+# default_method grid) that owns it.
+_DATA = dict.fromkeys(("predict", "train", "sweep", "ablate"), "data")
+_TREE = dict.fromkeys(("train", "sweep", "ablate"), "tree")
+_METHOD = dict.fromkeys(("sweep", "ablate"), "method")
+_EXPERIMENT = dict.fromkeys(("sweep", "ablate"), "experiment")
+_TABLE = (
+    ("dataset", _dataset, _DATA),
+    ("label_column", str, _DATA),
+    ("synthetic_seed", int, _DATA),
+    ("family", str, {"train": "loss"}),
+    ("r q", _float, {"train": "loss"}),
+    ("focal_wrap", _bool, {"train": "loss"}),
+    ("eta sce_alpha sce_beta", _float, dict(_METHOD, train="loss")),
+    ("learning_rate subsample", _float, {"train": "booster"}),
+    ("n_rounds", int, {"train": "booster"}),
+    ("lam min_sum_hessian min_gain", _float, _TREE),
+    ("min_samples_leaf max_depth max_leaves", int, _TREE),
+    ("methods", _list(str), _EXPERIMENT),
+    ("noise_levels", _list(_float), _EXPERIMENT),
+    ("repeats", int, _EXPERIMENT),
+    ("fraction tune_fraction", _float, _EXPERIMENT),
+    ("stratified", _bool, _EXPERIMENT),
+    ("grid_r grid_q grid_lr", _list(_float), _METHOD),
+    ("grid_rounds", _list(int), _METHOD),
+)
+CONFIG_KEYS = {key: (parse, readers) for keys, parse, readers in _TABLE
+               for key in keys.split()}
 
 
-def experiment_from_config(cfg, seed, threads) -> ExperimentConfig:
-    method_specs = {}
-    for name in _get(cfg, "methods", "rfl,cce", lambda t: tuple(
-            s.strip() for s in t.split(",") if s.strip())):
-        base = default_method(name)
-        overrides = {}
-        if name == "rfl" or name == "fl":
-            overrides["grid_r"] = _get(cfg, "grid_r", base.grid_r, _floats)
-        if name in ("rfl", "gce"):
-            overrides["grid_q"] = _get(cfg, "grid_q", base.grid_q, _floats)
-        overrides["grid_lr"] = _get(cfg, "grid_lr", base.grid_lr, _floats)
-        overrides["grid_rounds"] = _get(cfg, "grid_rounds", base.grid_rounds, _ints)
-        method_specs[name] = MethodSpec(
-            name=name, family=name,
-            grid_r=overrides.get("grid_r", base.grid_r),
-            grid_q=overrides.get("grid_q", base.grid_q),
-            grid_lr=overrides["grid_lr"], grid_rounds=overrides["grid_rounds"],
-            eta=_get(cfg, "eta", 1e-2, float))
-    return ExperimentConfig(
-        dataset=_get(cfg, "dataset", "synthetic:imbalanced"),
-        label_column=_get(cfg, "label_column", "label"),
-        noise_levels=_get(cfg, "noise_levels", DEFAULT_NOISE_LEVELS, _floats),
-        repeats=_get(cfg, "repeats", 5, int),
-        fraction=_get(cfg, "fraction", 0.8, float),
-        stratified=_get(cfg, "stratified", True, _bool),
-        methods=tuple(method_specs),
-        method_specs=method_specs,
-        tree=tree_config_from_config(cfg),
-        tune_fraction=_get(cfg, "tune_fraction", 0.75, float),
-        master_seed=seed,
-        threads=threads,
-    )
-
-
-def _load_data(cfg, path_key="dataset"):
-    exp_like = {"dataset": cfg.get(path_key, "synthetic:imbalanced"),
-                "label_column": cfg.get("label_column", "label")}
-    dummy = ExperimentConfig(dataset=exp_like["dataset"],
-                             label_column=exp_like["label_column"])
-    return load_experiment_dataset(dummy, synthetic_seed=int(cfg.get("synthetic_seed", 12345)))
-
-
-def _task_metric(model, data):
-    if data.n_classes == 2:
-        return "aucpr", aucpr(predict_proba(model, data)[:, 1], data.labels)
-    return "accuracy", accuracy(predict_label(model, data), data.labels)
+def build_config(command, cfg, seed=0, threads=1) -> dict:
+    """Check and parse ``cfg`` (key -> text) for ``command`` and construct
+    its configuration: ``data`` (loader keywords) for every subcommand, plus
+    ``booster`` for train and ``experiment`` for sweep and ablate. Every
+    invalid configuration leaves here as a ConfigError.
+    """
+    groups = defaultdict(dict)
+    for key, text in cfg.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}")
+        parse, readers = CONFIG_KEYS[key]
+        if command not in readers:
+            raise ConfigError(f"config key {key!r} is not read by {command}, "
+                              f"only by {', '.join(readers)}")
+        try:
+            groups[readers[command]][key] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"config key {key!r} = {text!r}: {exc}") from exc
+    out = {"data": groups["data"]}
+    try:
+        if command == "train":
+            out["booster"] = BoosterConfig(
+                loss=LossSpec(**groups["loss"]), tree=TreeConfig(**groups["tree"]),
+                seed=seed, **groups["booster"])
+        elif command in ("sweep", "ablate"):
+            # ablate varies rfl whatever the methods are, so rfl always gets the grids
+            names = groups["experiment"].get("methods", ExperimentConfig.methods)
+            specs = {name: default_method(name, **groups["method"]) for name in (*names, "rfl")}
+            out["experiment"] = ExperimentConfig(
+                **groups["data"], **groups["experiment"], tree=TreeConfig(**groups["tree"]),
+                method_specs=specs, master_seed=seed, threads=threads)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return out
 
 
 def cmd_train(args) -> int:
-    cfg = parse_config_file(args.config)
-    data = _load_data(cfg)
-    booster_cfg = BoosterConfig(
-        loss=loss_spec_from_config(cfg),
-        tree=tree_config_from_config(cfg),
-        learning_rate=_get(cfg, "learning_rate", 0.1, float),
-        n_rounds=_get(cfg, "n_rounds", 100, int),
-        n_classes=data.n_classes,
-        seed=args.seed,
-        subsample=_get(cfg, "subsample", 1.0, float),
-    )
+    config = build_config("train", parse_config_file(args.config), seed=args.seed)
+    data = load_experiment_dataset(**config["data"])
+    booster_cfg = replace(config["booster"], n_classes=data.n_classes)
     model = fit(data, booster_cfg)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "model.json"), "w", encoding="utf-8") as fh:
@@ -170,7 +160,7 @@ def cmd_train(args) -> int:
         writer.writerow(["round", "train_loss"])
         for t, v in enumerate(model.train_loss_history):
             writer.writerow([t, repr(v)])
-    metric, value = _task_metric(model, data)
+    metric, value = task_metric(predict_proba(model, data), data)
     with open(os.path.join(args.out, "train_report.json"), "w", encoding="utf-8") as fh:
         json.dump({"metric": metric, "train_value": value,
                    "n_rounds": len(model.trees[0])}, fh, indent=1)
@@ -184,7 +174,7 @@ def cmd_predict(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     if args.data:
         cfg = dict(cfg, dataset=args.data)
-    data = _load_data(cfg)
+    data = load_experiment_dataset(**build_config("predict", cfg)["data"])
     proba = predict_proba(model, data)
     labels = np.argmax(proba, axis=1)
     os.makedirs(args.out, exist_ok=True)
@@ -193,7 +183,7 @@ def cmd_predict(args) -> int:
         writer.writerow(["index"] + [f"proba_{k}" for k in range(proba.shape[1])] + ["label"])
         for i in range(proba.shape[0]):
             writer.writerow([i] + [repr(float(v)) for v in proba[i]] + [int(labels[i])])
-    metric, value = _task_metric(model, data)
+    metric, value = task_metric(proba, data)
     with open(os.path.join(args.out, "predict_report.json"), "w", encoding="utf-8") as fh:
         json.dump({"metric": metric, "value": value}, fh, indent=1)
     print(f"predicted {proba.shape[0]} samples: {metric}={value:.6f}")
@@ -201,18 +191,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = parse_config_file(args.config)
-    exp = experiment_from_config(cfg, args.seed, args.threads)
-    rows = run_sweep(exp, args.out)
-    print(f"sweep done: {len(rows)} result rows in {args.out}/results.csv")
-    return EXIT_OK
-
-
-def cmd_ablate(args) -> int:
-    cfg = parse_config_file(args.config)
-    exp = experiment_from_config(cfg, args.seed, args.threads)
-    rows = run_ablation(exp, args.out)
-    print(f"ablation done: {len(rows)} result rows in {args.out}/results.csv")
+    """``sweep`` and ``ablate``: one key set, two experiment drivers."""
+    config = build_config(args.command, parse_config_file(args.config), args.seed, args.threads)
+    run = run_ablation if args.command == "ablate" else run_sweep
+    rows = run(config["experiment"], args.out)
+    print(f"{args.command} done: {len(rows)} result rows in {args.out}/results.csv")
     return EXIT_OK
 
 
@@ -248,37 +231,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noise-robust Newton-boosted trees: training, noise sweeps, rank reports.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=1)
-
     p = sub.add_parser("train", help="train one model from a config file")
     p.add_argument("--config", required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=0, help="model seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score a dataset with a trained model")
     p.add_argument("--model", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--data", default=None, help="dataset path or synthetic:<name>")
-    common(p)
     p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("sweep", help="noise-level sweep with tuned methods")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("ablate", help="focal/robust-term ablation sweep")
-    p.add_argument("--config", required=True)
-    common(p)
-    p.set_defaults(func=cmd_ablate)
+    for name, text in (("sweep", "noise-level sweep with tuned methods"),
+                       ("ablate", "focal/robust-term ablation sweep")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--threads", type=int, default=1)
+        p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="rank tables from a sweep results.csv")
     p.add_argument("--results", required=True)
-    common(p)
     p.set_defaults(func=cmd_report)
+
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True, help="output directory")
     return parser
 
 
@@ -287,10 +264,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, LossConfigError, BoosterConfigError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import synthetic
-from .booster import BoosterConfig, fit, predict_label, predict_proba
-from .data import TabularDataset, load_csv, train_test_split
+from .booster import BoosterConfig, fit, predict_proba
+from .data import SplitError, TabularDataset, load_csv, train_test_split
 from .losses import LossSpec
 from .metrics import accuracy, aucpr
 from .noise import Flip, NoiseSpec, inject_binary, inject_multiclass, write_flip_log
@@ -31,6 +31,9 @@ from .tree import TreeConfig
 
 TAG_SPLIT, TAG_NOISE, TAG_TUNE, TAG_MODEL = 1, 2, 3, 4
 
+DEFAULT_DATASET = "synthetic:imbalanced"
+DEFAULT_LABEL_COLUMN = "label"
+DEFAULT_SYNTHETIC_SEED = 12345
 DEFAULT_NOISE_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_GRID_R = (0.5, 1.0, 2.0)
 DEFAULT_GRID_Q = (0.3, 0.5, 0.7)
@@ -60,6 +63,14 @@ class MethodSpec:
     sce_alpha: float = 1.0
     sce_beta: float = 1.0
 
+    def __post_init__(self):
+        # every grid point must be a valid booster config before a sweep starts
+        grid = self.candidates()
+        if not grid:
+            raise ValueError(f"method {self.name!r} has an empty grid")
+        for spec, lr, rounds in grid:
+            BoosterConfig(loss=spec, learning_rate=lr, n_rounds=rounds)
+
     def candidates(self):
         """Canonically ordered (LossSpec, lr, rounds) grid."""
         out = []
@@ -71,24 +82,22 @@ class MethodSpec:
         return out
 
 
-def default_method(name: str) -> MethodSpec:
-    """Grid over only the parameters the family actually uses."""
-    base = dict(name=name, family=name)
-    if name == "rfl":
-        return MethodSpec(grid_r=DEFAULT_GRID_R, grid_q=DEFAULT_GRID_Q, **base)
-    if name == "gce":
-        return MethodSpec(grid_q=DEFAULT_GRID_Q, **base)
-    if name == "fl":
-        return MethodSpec(grid_r=DEFAULT_GRID_R, **base)
-    if name in ("cce", "mae", "sce", "nce"):
-        return MethodSpec(**base)
-    raise ValueError(f"unknown method {name!r}")
+def default_method(name: str, **overrides) -> MethodSpec:
+    """Grid over only the parameters the family actually uses. ``overrides``
+    replace MethodSpec fields, but ``grid_r`` and ``grid_q`` reach only a
+    family that uses r or q.
+    """
+    uses = {"grid_r": name in ("rfl", "fl"), "grid_q": name in ("rfl", "gce")}
+    fields = {"grid_r": DEFAULT_GRID_R, "grid_q": DEFAULT_GRID_Q, **overrides}
+    return MethodSpec(name=name, family=name,
+                      **{k: v for k, v in fields.items() if uses.get(k, True)})
 
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = "synthetic:imbalanced"
-    label_column: str = "label"
+    dataset: str = DEFAULT_DATASET
+    label_column: str = DEFAULT_LABEL_COLUMN
+    synthetic_seed: int = DEFAULT_SYNTHETIC_SEED
     noise_levels: tuple = DEFAULT_NOISE_LEVELS
     repeats: int = 5
     fraction: float = 0.8
@@ -101,20 +110,27 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if not self.noise_levels or not self.methods:
+            raise ValueError("noise_levels and methods must not be empty")
         for g in self.noise_levels:
             if not 0.0 <= g < 0.5:
                 raise ValueError(f"noise level {g} outside [0, 0.5)")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if not (0.0 < self.fraction < 1.0 and 0.0 < self.tune_fraction < 1.0):
+            raise ValueError("fraction and tune_fraction must be in (0, 1)")
 
     def resolve_method(self, name: str) -> MethodSpec:
         return self.method_specs.get(name, default_method(name))
 
 
-def load_experiment_dataset(cfg: ExperimentConfig, synthetic_seed: int = 12345) -> TabularDataset:
-    if cfg.dataset.startswith("synthetic:"):
-        return synthetic.make(cfg.dataset.split(":", 1)[1], seed=synthetic_seed)
-    return load_csv(cfg.dataset, label_column=cfg.label_column)
+def load_experiment_dataset(dataset: str = DEFAULT_DATASET,
+                            label_column: str = DEFAULT_LABEL_COLUMN,
+                            synthetic_seed: int = DEFAULT_SYNTHETIC_SEED) -> TabularDataset:
+    """``synthetic:<name>`` generates a bundled dataset; anything else is a CSV path."""
+    if dataset.startswith("synthetic:"):
+        return synthetic.make(dataset.split(":", 1)[1], seed=synthetic_seed)
+    return load_csv(dataset, label_column=label_column)
 
 
 def _inject(labels, n_classes, rate, seed):
@@ -127,10 +143,11 @@ def _inject(labels, n_classes, rate, seed):
     return inject_multiclass(labels, n_classes, spec)
 
 
-def _score(model, data) -> float:
+def task_metric(proba, data):
+    """(name, value) of the task's score: AUCPR for a binary task, else accuracy."""
     if data.n_classes == 2:
-        return aucpr(predict_proba(model, data)[:, 1], data.labels)
-    return accuracy(predict_label(model, data), data.labels)
+        return "aucpr", aucpr(proba[:, 1], data.labels)
+    return "accuracy", accuracy(np.argmax(proba, axis=1), data.labels)
 
 
 def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
@@ -142,7 +159,7 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
     if len(candidates) > 1:
         try:
             plan = train_test_split(train, tune_fraction, seed=tune_seed, stratified=True)
-        except Exception:
+        except SplitError:  # a class too small to stratify
             plan = train_test_split(train, tune_fraction, seed=tune_seed, stratified=False)
         sub_train = train.subset(plan.train_indices)
         sub_valid = train.subset(plan.test_indices)
@@ -150,7 +167,8 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
         for i, (spec, lr, rounds) in enumerate(candidates):
             cfg = BoosterConfig(loss=spec, tree=tree, learning_rate=lr,
                                 n_rounds=rounds, n_classes=n_classes, seed=model_seed)
-            score = _score(fit(sub_train, cfg), sub_valid)
+            model = fit(sub_train, cfg)
+            score = task_metric(predict_proba(model, sub_valid), sub_valid)[1]
             if best is None or score > best[0]:
                 best = (score, i)
         spec, lr, rounds = candidates[best[1]]
@@ -179,13 +197,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
     """
     os.makedirs(out_dir, exist_ok=True)
     if dataset is None:
-        dataset = load_experiment_dataset(cfg)
+        dataset = load_experiment_dataset(cfg.dataset, cfg.label_column, cfg.synthetic_seed)
     if dataset_name is None:
         dataset_name = cfg.dataset
     if methods is None:
         methods = [cfg.resolve_method(m) for m in cfg.methods]
     n_classes = dataset.n_classes
-    metric_name = "aucpr" if n_classes == 2 else "accuracy"
 
     cells = [
         (gi, gamma, rep, mi, method)
@@ -212,7 +229,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
             tune_seed=derive_seed(cfg.master_seed, TAG_TUNE, gi, rep, mi),
             model_seed=derive_seed(cfg.master_seed, TAG_MODEL, gi, rep, mi))
         test = dataset.subset(plan.test_indices)
-        value = _score(model, test)
+        metric_name, value = task_metric(predict_proba(model, test), test)
         params = (f"family={used_cfg.loss.family};r={used_cfg.loss.r};"
                   f"q={used_cfg.loss.q};lr={used_cfg.learning_rate};"
                   f"rounds={used_cfg.n_rounds}")

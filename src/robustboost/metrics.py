@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class MetricError(ValueError):
@@ -67,6 +66,7 @@ class RankTable:
 
 def rank_methods(per_dataset_scores, methods, higher_is_better: bool = True) -> RankTable:
     """Rank methods on each dataset (1 = best) and aggregate."""
+    from scipy.stats import rankdata  # here, so that importing the package skips scipy
     S = np.asarray(per_dataset_scores, dtype=float)
     if S.ndim != 2 or S.shape[1] != len(methods):
         raise MetricError("score matrix must be (n_datasets, n_methods)")

@@ -1,11 +1,18 @@
 import json
 import os
+import re
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from robustboost.cli import (EXIT_CONFIG, EXIT_OK, ConfigError, main,
-                             parse_config_file)
+import robustboost
+from robustboost.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError,
+                             build_config, main, parse_config_file)
 from robustboost.experiment import read_results
 
 
@@ -126,3 +133,164 @@ class TestSweepReport:
         assert main(["ablate", "--config", cfg, "--out", out, "--seed", "5"]) == EXIT_OK
         rows = read_results(os.path.join(out, "results.csv"))
         assert {r.method for r in rows} == {"rfl_full", "rfl_r0", "rfl_q0"}
+
+
+# one valid value per config key, each different from the key's default
+SAMPLE_VALUES = {
+    "dataset": "synthetic:blobs3", "label_column": "y", "synthetic_seed": "3",
+    "family": "gce", "r": "2.0", "q": "0.7", "focal_wrap": "true", "eta": "0.05",
+    "sce_alpha": "5.0", "sce_beta": "0.1", "learning_rate": "0.3", "n_rounds": "7",
+    "subsample": "0.5", "lam": "2.0", "min_samples_leaf": "3", "min_sum_hessian": "0.1",
+    "min_gain": "0.5", "max_depth": "2", "max_leaves": "4", "methods": "rfl,gce",
+    "noise_levels": "0.0,0.3", "repeats": "2", "fraction": "0.7", "stratified": "no",
+    "tune_fraction": "0.6", "grid_r": "1.5", "grid_q": "0.9", "grid_lr": "0.2",
+    "grid_rounds": "5,9",
+}
+READERS = {
+    "predict": {"dataset", "label_column", "synthetic_seed"},
+    "train": {"dataset", "label_column", "synthetic_seed", "family", "r", "q", "eta",
+              "sce_alpha", "sce_beta", "focal_wrap", "lam", "min_samples_leaf",
+              "min_sum_hessian", "min_gain", "max_depth", "max_leaves", "learning_rate",
+              "n_rounds", "subsample"},
+    "sweep": {"dataset", "label_column", "synthetic_seed", "lam", "min_samples_leaf",
+              "min_sum_hessian", "min_gain", "max_depth", "max_leaves", "methods",
+              "noise_levels", "repeats", "fraction", "stratified", "tune_fraction",
+              "grid_r", "grid_q", "grid_lr", "grid_rounds", "eta", "sce_alpha", "sce_beta"},
+}
+READERS["ablate"] = READERS["sweep"]
+JUNK_VALUES = ["", "nan", "inf", "-1", "0", "2", "1.5", "0.49", "1e309", "9" * 40, "abc",
+               ",", "1,,2", "0.5,x", "true", "synthetic:nope", "synthetic:", "huber",
+               "rfl,mae,sce,nce,fl,cce,gce"]
+
+
+def effective(built):
+    """What a built configuration makes the subcommand do."""
+    exp = built.get("experiment")
+    if exp is None:
+        return built
+    return (built["data"], replace(exp, method_specs={}),
+            [exp.resolve_method(m) for m in exp.methods + ("rfl",)])
+
+
+class TestConfigTable:
+    def test_key_sets_per_subcommand(self):
+        for command, keys in READERS.items():
+            assert {k for k, (_, readers) in CONFIG_KEYS.items() if command in readers} == keys
+        assert set(SAMPLE_VALUES) == set(CONFIG_KEYS)
+
+    @pytest.mark.parametrize("command", sorted(READERS))
+    def test_every_listed_key_is_honoured(self, command):
+        baseline = effective(build_config(command, {}))
+        for key in READERS[command]:
+            built = build_config(command, {key: SAMPLE_VALUES[key]})
+            assert effective(built) != baseline, key
+
+    @pytest.mark.parametrize("command", sorted(READERS))
+    def test_unread_keys_rejected_with_their_readers(self, command):
+        for key in set(CONFIG_KEYS) - READERS[command]:
+            with pytest.raises(ConfigError, match=f"'{key}' is not read by {command}"):
+                build_config(command, {key: SAMPLE_VALUES[key]})
+        with pytest.raises(ConfigError, match="unknown config key 'learning_rte'"):
+            build_config(command, {"learning_rte": "0.9"})
+
+    def test_readme_table_matches(self):
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                      encoding="utf-8").read()
+        table = readme[readme.index("| key | subcommands |"):]
+        table = table[:table.index("\n\n")].splitlines()[2:]
+        documented = {}
+        for row in table:
+            cells = [c.strip() for c in row.strip("|").split("|")]
+            for key in re.findall(r"`([^`]+)`", cells[0]):
+                documented[key] = {c.strip() for c in cells[1].split(",")}
+        assert documented == {k: set(readers) for k, (_, readers) in CONFIG_KEYS.items()}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_random_configs_build_or_raise_config_error(self, data):
+        command = data.draw(st.sampled_from(sorted(READERS)))
+        keys = data.draw(st.lists(st.sampled_from(sorted(READERS[command])),
+                                  max_size=6, unique=True))
+        cfg = {key: data.draw(st.sampled_from([SAMPLE_VALUES[key]] * 4 + JUNK_VALUES)
+                              | st.text(max_size=12)) for key in keys}
+        cfg.update(data.draw(st.dictionaries(st.sampled_from(sorted(CONFIG_KEYS))
+                                             | st.text(max_size=8),
+                                             st.text(max_size=6), max_size=1)))
+        try:
+            build_config(command, cfg)
+        except ConfigError:
+            pass
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command,line,named", [
+        ("train", "learning_rte = 0.9", "'learning_rte'"),
+        ("sweep", "n_rounds = 3", "'n_rounds'"),
+        ("train", "dataset = synthetic:nope", "'nope'"),
+        ("sweep", "methods = huber", "'huber'"),
+        ("sweep", "repeats = 0", "repeats"),
+        ("train", "max_depth = 0", "max_depth"),
+        ("sweep", "noise_levels = 0.7", "noise level 0.7"),
+        ("ablate", "fraction = 1.5", "fraction"),
+    ])
+    def test_configuration_errors_exit_2(self, tmp_path, capsys, command, line, named):
+        text = TRAIN_CFG if command == "train" else SWEEP_CFG
+        cfg = write_config(tmp_path, text + line + "\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_bad_csv_cell_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_text("a,b,label\n1,2,x\nfoo,3,y\n4,5,x\n")
+        cfg = write_config(tmp_path, f"dataset = {data}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert "'foo'" in capsys.readouterr().err
+
+    def test_predict_feature_count_mismatch_exits_1(self, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["train", "--config", write_config(tmp_path, TRAIN_CFG),
+                     "--out", out]) == EXIT_OK
+        code = main(["predict", "--model", os.path.join(out, "model.json"),
+                     "--data", "synthetic:imbalanced", "--out", str(tmp_path / "p")])
+        assert code == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--model", "m.json", "--out", "o", "--seed", "1"],
+        ["predict", "--model", "m.json", "--out", "o", "--threads", "2"],
+        ["report", "--results", "r.csv", "--out", "o", "--threads", "2"],
+        ["report", "--results", "r.csv", "--out", "o", "--seed", "1"],
+        ["train", "--config", "c.cfg", "--out", "o", "--threads", "2"],
+    ])
+    def test_removed_flags_are_argparse_errors(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_sweep_honours_sce_alpha(self, tmp_path):
+        base = ("dataset = synthetic:blobs3\nmethods = sce\nnoise_levels = 0.2\nrepeats = 1\n"
+                "grid_lr = 0.3\ngrid_rounds = 8\nmax_depth = 3\nmax_leaves = 8\n")
+        results = []
+        for name, extra in (("plain", ""), ("alpha", "sce_alpha = 5.0\n")):
+            out = str(tmp_path / name)
+            cfg = write_config(tmp_path, base + extra, name=f"{name}.cfg")
+            assert main(["sweep", "--config", cfg, "--out", out, "--seed", "1"]) == EXIT_OK
+            results.append(open(os.path.join(out, "results.csv"), "rb").read())
+        assert results[0] != results[1]
+
+    def test_ablate_uses_grid_keys_without_rfl_in_methods(self, tmp_path):
+        cfg = write_config(tmp_path, SWEEP_CFG + "methods = cce\n")
+        exp = build_config("ablate", parse_config_file(cfg))["experiment"]
+        rfl = exp.resolve_method("rfl")
+        assert (rfl.grid_r, rfl.grid_q, rfl.grid_lr, rfl.grid_rounds) == (
+            (1.0,), (0.5,), (0.3,), (10,))
+
+
+def test_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(robustboost.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, robustboost.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
