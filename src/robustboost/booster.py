@@ -1,5 +1,6 @@
 """Newton boosting loop: accumulate learning-rate-scaled trees on raw scores,
-one tree per round (per class in one-vs-all mode), probabilities via sigmoid.
+one tree per score column per round (one column for binary, one per class in
+one-vs-all mode), probabilities via sigmoid.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class BoosterConfig:
 
 @dataclass
 class BoosterModel:
-    trees: list  # one tree list for binary, n_classes lists otherwise
+    trees: list  # one tree list per score column: 1 for binary, n_classes otherwise
     init_score: float
     config: BoosterConfig
     n_features: int
@@ -73,9 +74,13 @@ class BoosterModel:
         return len(self.trees) == 1
 
 
-def _mean_loss(spec: LossSpec, y01, z) -> float:
-    phat = np.clip(make_phat(y01, sigmoid(z)), 1e-15, 1.0 - 1e-15)
-    return float(np.mean(loss_value(spec, phat)))
+def _mean_loss(spec: LossSpec, targets, z) -> float:
+    """Mean over score columns of each column's mean loss on its 0/1 targets."""
+    means = []
+    for k, yk in enumerate(targets):
+        phat = np.clip(make_phat(yk, sigmoid(z[:, k])), 1e-15, 1.0 - 1e-15)
+        means.append(np.mean(loss_value(spec, phat)))
+    return float(np.mean(means))
 
 
 def _sample_rows(rng, n, subsample):
@@ -87,8 +92,9 @@ def _sample_rows(rng, n, subsample):
 
 def fit(data: TabularDataset, config: BoosterConfig,
         valid: Optional[TabularDataset] = None) -> BoosterModel:
-    """Train a boosted ensemble. Multi-class rounds build all one-vs-all
-    trees from the scores frozen at the round's start.
+    """Train a boosted ensemble on an (n, n_cols) score array: one column
+    with targets [y] for binary, one one-vs-all column per class otherwise.
+    A round builds every column's tree from the scores frozen at its start.
     """
     y = np.asarray(data.labels)
     if data.n_samples == 0:
@@ -99,58 +105,41 @@ def fit(data: TabularDataset, config: BoosterConfig,
     if y.min() < 0 or y.max() >= config.n_classes:
         raise DataError(f"labels must lie in [0, {config.n_classes})")
 
+    def column_targets(labels):
+        if config.n_classes == 2:
+            return [labels]
+        return [(labels == k).astype(np.int64) for k in range(config.n_classes)]
+
     rng = np.random.default_rng(config.seed)
     n = data.n_samples
-    binary = config.n_classes == 2
-    n_lists = 1 if binary else config.n_classes
-    model = BoosterModel(trees=[[] for _ in range(n_lists)], init_score=0.0,
+    targets = column_targets(y)
+    model = BoosterModel(trees=[[] for _ in targets], init_score=0.0,
                          config=config, n_features=data.n_features)
-
-    if binary:
-        z = np.zeros(n)
-        z_valid = np.zeros(valid.n_samples) if valid is not None else None
-    else:
-        z = np.zeros((n, config.n_classes))
-        z_valid = np.zeros((valid.n_samples, config.n_classes)) if valid is not None else None
+    z = np.zeros((n, len(targets)))
+    if valid is not None:
+        valid_targets = column_targets(np.asarray(valid.labels))
+        z_valid = np.zeros((valid.n_samples, len(targets)))
 
     best_score = np.inf
     best_round = None
     for t in range(config.n_rounds):
         rows = _sample_rows(rng, n, config.subsample)
-        if binary:
-            g, h = grad_hess(config.loss, y, z)
-            _assert_finite(g, h)
-            tree = grow_tree(data.columns, data.missing, rows, g, h, config.tree)
-            model.trees[0].append(tree)
-            z = z + config.learning_rate * tree.predict(data.columns, data.missing)
+        new_trees = []
+        for k, yk in enumerate(targets):
+            g, h = grad_hess(config.loss, yk, z[:, k])
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+                raise AssertionError("non-finite gradient/Hessian from the loss layer")
+            new_trees.append(grow_tree(data.columns, data.missing, rows, g, h, config.tree))
+        for k, tree in enumerate(new_trees):
+            model.trees[k].append(tree)
+            z[:, k] = z[:, k] + config.learning_rate * tree.predict(data.columns, data.missing)
             if valid is not None:
-                z_valid = z_valid + config.learning_rate * tree.predict(valid.columns, valid.missing)
-            model.train_loss_history.append(_mean_loss(config.loss, y, z))
-        else:
-            new_trees = []
-            for k in range(config.n_classes):
-                yk = (y == k).astype(np.int64)
-                g, h = grad_hess(config.loss, yk, z[:, k])
-                _assert_finite(g, h)
-                new_trees.append(grow_tree(data.columns, data.missing, rows, g, h, config.tree))
-            for k, tree in enumerate(new_trees):
-                model.trees[k].append(tree)
-                z[:, k] = z[:, k] + config.learning_rate * tree.predict(data.columns, data.missing)
-                if valid is not None:
-                    z_valid[:, k] = z_valid[:, k] + config.learning_rate * tree.predict(
-                        valid.columns, valid.missing)
-            model.train_loss_history.append(float(np.mean([
-                _mean_loss(config.loss, (y == k).astype(np.int64), z[:, k])
-                for k in range(config.n_classes)])))
+                z_valid[:, k] = z_valid[:, k] + config.learning_rate * tree.predict(
+                    valid.columns, valid.missing)
+        model.train_loss_history.append(_mean_loss(config.loss, targets, z))
 
         if valid is not None:
-            yv = np.asarray(valid.labels)
-            if binary:
-                v = _mean_loss(config.loss, yv, z_valid)
-            else:
-                v = float(np.mean([
-                    _mean_loss(config.loss, (yv == k).astype(np.int64), z_valid[:, k])
-                    for k in range(config.n_classes)]))
+            v = _mean_loss(config.loss, valid_targets, z_valid)
             model.valid_loss_history.append(v)
             if v < best_score:
                 best_score = v
@@ -165,11 +154,6 @@ def fit(data: TabularDataset, config: BoosterConfig,
     return model
 
 
-def _assert_finite(g, h):
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-        raise AssertionError("non-finite gradient/Hessian from the loss layer")
-
-
 def _check_schema(model: BoosterModel, data: TabularDataset):
     if data.n_features != model.n_features:
         raise SchemaMismatchError(
@@ -182,17 +166,11 @@ def predict_raw(model: BoosterModel, data: TabularDataset):
     Binary models return shape (n,); multi-class returns (n, n_classes).
     """
     _check_schema(model, data)
-    n = data.n_samples
-    if model.is_binary:
-        z = np.full(n, model.init_score)
-        for tree in model.trees[0]:
-            z = z + model.config.learning_rate * tree.predict(data.columns, data.missing)
-        return z
-    z = np.full((n, len(model.trees)), model.init_score)
+    z = np.full((data.n_samples, len(model.trees)), model.init_score)
     for k, lst in enumerate(model.trees):
         for tree in lst:
             z[:, k] = z[:, k] + model.config.learning_rate * tree.predict(data.columns, data.missing)
-    return z
+    return z[:, 0] if model.is_binary else z
 
 
 def predict_proba(model: BoosterModel, data: TabularDataset):

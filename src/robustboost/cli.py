@@ -59,6 +59,13 @@ def _float(text):
     return value
 
 
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 def _list(conv):
     return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
 
@@ -90,7 +97,7 @@ _EXPERIMENT = dict.fromkeys(("sweep", "ablate"), "experiment")
 _TABLE = (
     ("dataset", _dataset, _DATA),
     ("label_column", str, _DATA),
-    ("synthetic_seed", int, _DATA),
+    ("synthetic_seed", non_negative_int, _DATA),
     ("family", str, {"train": "loss"}),
     ("r q", _float, {"train": "loss"}),
     ("focal_wrap", _bool, {"train": "loss"}),
@@ -233,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train one model from a config file")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=0, help="model seed")
+    p.add_argument("--seed", type=non_negative_int, default=0, help="model seed")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="score a dataset with a trained model")
@@ -246,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
                        ("ablate", "focal/robust-term ablation sweep")):
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True)
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=non_negative_int, default=0, help="master seed")
         p.add_argument("--threads", type=int, default=1)
         p.set_defaults(func=cmd_sweep)
 

@@ -1,10 +1,10 @@
-"""Loss families for Newton boosting, parameterized by the ground-truth-class
-probability.
+"""Loss families for Newton boosting, as functions of phat, the probability
+the model assigns to a sample's true class.
 
-Every family exposes its value and first/second derivatives as functions of
-phat, the probability the model assigns to a sample's true class. The chain
-rule then maps these to gradients/Hessians in raw-score space, which is what
-the tree builder consumes.
+Every family is a base loss in {cce, mae, gce, sce, nce}, optionally times
+the focal factor (1 - phat)**r: fl is focal∘cce, rfl is focal∘gce. One
+chain rule maps value derivatives in phat to the raw-score gradients and
+Hessians that the tree builder consumes.
 """
 
 from __future__ import annotations
@@ -89,99 +89,66 @@ def _gce_value(u, q):
     return -np.expm1(q * np.log(u)) / q
 
 
-def _raw_value(spec: LossSpec, u):
-    fam = spec.family
-    if fam == "cce":
-        return -np.log(u)
-    if fam == "mae":
-        return 1.0 - u
-    if fam == "fl":
-        return -((1.0 - u) ** spec.r) * np.log(u)
-    if fam == "gce":
-        return _gce_value(u, spec.q)
-    if fam == "sce":
-        clipped = np.maximum(u, spec.eta) if spec.eta > 0 else u
-        return -spec.sce_alpha * np.log(clipped) + spec.sce_beta * (1.0 - u)
-    if fam == "nce":
-        lu = np.log(u)
-        return lu / (lu + np.log1p(-u))
-    # rfl
-    return ((1.0 - u) ** spec.r) * _gce_value(u, spec.q)
+# fl and rfl are the focal factor around cce and gce
+_BASE = {"fl": "cce", "rfl": "gce"}
 
 
-def _raw_d1_d2(spec: LossSpec, u):
-    fam = spec.family
+def _base(spec: LossSpec, u):
+    """Value and first/second derivatives in u of the family's base loss."""
+    fam = _BASE.get(spec.family, spec.family)
     if fam == "cce":
-        return -1.0 / u, 1.0 / u**2
+        return -np.log(u), -1.0 / u, 1.0 / u**2
     if fam == "mae":
         z = np.zeros_like(u)
-        return z - 1.0, z
+        return 1.0 - u, z - 1.0, z
     if fam == "gce":
         q = spec.q
-        return -(u ** (q - 1.0)), (1.0 - q) * u ** (q - 2.0)
+        return _gce_value(u, q), -(u ** (q - 1.0)), (1.0 - q) * u ** (q - 2.0)
     if fam == "sce":
         a, b = spec.sce_alpha, spec.sce_beta
+        clipped = np.maximum(u, spec.eta) if spec.eta > 0 else u
         live = u > spec.eta  # below the clip the log term is constant
-        d1 = np.where(live, -a / u, 0.0) - b
-        d2 = np.where(live, a / u**2, 0.0)
-        return d1, d2
-    if fam == "nce":
-        A, B = np.log(u), np.log1p(-u)
-        D = A + B
-        A1, D1 = 1.0 / u, 1.0 / u - 1.0 / (1.0 - u)
-        A2, D2 = -1.0 / u**2, -1.0 / u**2 - 1.0 / (1.0 - u) ** 2
-        d1 = (A1 * D - A * D1) / D**2
-        d2 = (A2 * D - A * D2) / D**2 - 2.0 * D1 * (A1 * D - A * D1) / D**3
-        return d1, d2
-    # fl and rfl share the focal factor algebra: l = F(u) * G(u)
-    r = spec.r
-    F = (1.0 - u) ** r
-    F1 = -r * (1.0 - u) ** (r - 1.0) if r > 0 else np.zeros_like(u)
-    F2 = r * (r - 1.0) * (1.0 - u) ** (r - 2.0) if r > 0 else np.zeros_like(u)
-    if fam == "fl":
-        G = -np.log(u)
-        G1 = -1.0 / u
-        G2 = 1.0 / u**2
-    else:  # rfl
-        q = spec.q
-        G = _gce_value(u, q)
-        G1 = -(u ** (q - 1.0))
-        G2 = (1.0 - q) * u ** (q - 2.0)
-    return F1 * G + F * G1, F2 * G + 2.0 * F1 * G1 + F * G2
+        return (-a * np.log(clipped) + b * (1.0 - u),
+                np.where(live, -a / u, 0.0) - b,
+                np.where(live, a / u**2, 0.0))
+    # nce = A / D with A = log(u), D = log(u) + log(1 - u)
+    A, B = np.log(u), np.log1p(-u)
+    D = A + B
+    A1, D1 = 1.0 / u, 1.0 / u - 1.0 / (1.0 - u)
+    A2, D2 = -1.0 / u**2, -1.0 / u**2 - 1.0 / (1.0 - u) ** 2
+    d1 = (A1 * D - A * D1) / D**2
+    d2 = (A2 * D - A * D2) / D**2 - 2.0 * D1 * (A1 * D - A * D1) / D**3
+    return A / D, d1, d2
 
 
-def _focal_wrapped(spec: LossSpec, u, want_derivs):
-    """Optional (1-u)**r imbalance factor around mae/sce/nce."""
-    base = _raw_value(spec, u)
-    r = spec.r
-    F = (1.0 - u) ** r
-    if not want_derivs:
-        return F * base
-    d1, d2 = _raw_d1_d2(spec, u)
-    F1 = -r * (1.0 - u) ** (r - 1.0) if r > 0 else np.zeros_like(u)
-    F2 = r * (r - 1.0) * (1.0 - u) ** (r - 2.0) if r > 0 else np.zeros_like(u)
-    return F * base, F2 * base + 2.0 * F1 * d1 + F * d2, F1 * base + F * d1
-
-
-def _wraps(spec: LossSpec) -> bool:
+def _focused(spec: LossSpec) -> bool:
+    """Always for fl/rfl; around mae/sce/nce under focal_wrap with r > 0."""
+    if spec.family in _BASE:
+        return True
     return spec.focal_wrap and spec.family in ("mae", "sce", "nce") and spec.r > 0
+
+
+def _loss(spec: LossSpec, phat):
+    """(value, d1, d2) in phat: the base loss G, times F = (1-u)**r when focused."""
+    u = _safeguarded(spec, _check_phat(phat))
+    G, G1, G2 = _base(spec, u)
+    if not _focused(spec):
+        return G, G1, G2
+    r = spec.r
+    F = (1.0 - u) ** r
+    F1 = -r * (1.0 - u) ** (r - 1.0) if r > 0 else np.zeros_like(u)
+    F2 = r * (r - 1.0) * (1.0 - u) ** (r - 2.0) if r > 0 else np.zeros_like(u)
+    return F * G, F1 * G + F * G1, F2 * G + 2.0 * F1 * G1 + F * G2
 
 
 def loss_value(spec: LossSpec, phat):
     """Loss value at phat; vectorized over phat."""
-    u = _safeguarded(spec, _check_phat(phat))
-    if _wraps(spec):
-        return _focal_wrapped(spec, u, want_derivs=False)
-    return _raw_value(spec, u)
+    return _loss(spec, phat)[0]
 
 
 def loss_d1_d2(spec: LossSpec, phat):
     """Analytic first and second derivatives of the loss in phat."""
-    u = _safeguarded(spec, _check_phat(phat))
-    if _wraps(spec):
-        _, d2, d1 = _focal_wrapped(spec, u, want_derivs=True)
-        return d1, d2
-    return _raw_d1_d2(spec, u)
+    return _loss(spec, phat)[1:]
 
 
 def sigmoid(z):
@@ -191,11 +158,19 @@ def sigmoid(z):
     return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def grad_hess(spec: LossSpec, y, z):
-    """Per-sample gradient and Hessian in raw-score space.
+def _chain_rule(d1, d2, p):
+    """dphat/dz = s and the score-space Hessian of a y=1 sample, with
+    s = p(1-p) taken at the point ``p``:
 
-    g = d1 * (2y - 1) * phat(1-phat)
-    h = d2 * (phat(1-phat))**2 + d1 * phat(1-phat)(1-2*phat)
+    h = d2 * s**2 + d1 * s * (1 - 2p)
+    """
+    s = p * (1.0 - p)
+    return s, d2 * s**2 + d1 * s * (1.0 - 2.0 * p)
+
+
+def grad_hess(spec: LossSpec, y, z):
+    """Per-sample gradient g = d1 * (2y - 1) * s and Hessian h in raw-score
+    space, with s taken at the unshifted phat.
     """
     y = np.asarray(y)
     z = np.asarray(z, dtype=float)
@@ -203,11 +178,8 @@ def grad_hess(spec: LossSpec, y, z):
     # the signed form is exact under the label/score flip symmetry
     phat = sigmoid(np.where(y == 1, z, -z))
     d1, d2 = loss_d1_d2(spec, phat)
-    s = phat * (1.0 - phat)
-    sign = np.where(y == 1, 1.0, -1.0)
-    g = d1 * sign * s
-    h = d2 * s**2 + d1 * s * (1.0 - 2.0 * phat)
-    return g, h
+    s, h = _chain_rule(d1, d2, phat)
+    return d1 * np.where(y == 1, 1.0, -1.0) * s, h
 
 
 @dataclass
@@ -221,16 +193,13 @@ class ConditionReport:
 def hessian_curve(spec: LossSpec, phat):
     """Hessian expressed as a function of phat for a y=1 sample.
 
-    The eta safeguard is applied to phat throughout the expression, so a
-    safeguarded mae/nce reports the curve of the perturbed loss.
+    The eta safeguard is applied to phat throughout the expression, s
+    included, so a safeguarded mae/nce reports the curve of the perturbed
+    loss. grad_hess takes s at the unshifted phat, so the two differ where
+    the safeguard shifts phat (phat <= 0.5).
     """
-    u = _safeguarded(spec, _check_phat(phat))
-    if _wraps(spec):
-        _, d2, d1 = _focal_wrapped(spec, u, want_derivs=True)
-    else:
-        d1, d2 = _raw_d1_d2(spec, u)
-    s = u * (1.0 - u)
-    return d2 * s**2 + d1 * s * (1.0 - 2.0 * u)
+    d1, d2 = loss_d1_d2(spec, phat)
+    return _chain_rule(d1, d2, _safeguarded(spec, _check_phat(phat)))[1]
 
 
 def check_necessary_condition(spec: LossSpec, grid_size: int = 1000) -> ConditionReport:

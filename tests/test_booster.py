@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustboost import synthetic
 from robustboost.booster import (BoosterConfig, BoosterConfigError, DataError,
@@ -8,7 +10,7 @@ from robustboost.booster import (BoosterConfig, BoosterConfigError, DataError,
                                  deserialize, fit, predict_label,
                                  predict_proba, predict_raw, serialize)
 from robustboost.data import from_arrays
-from robustboost.losses import LossSpec
+from robustboost.losses import FAMILIES, LossSpec
 from robustboost.metrics import accuracy, aucpr
 from robustboost.tree import TreeConfig
 
@@ -171,3 +173,30 @@ class TestSerialization:
         other = from_arrays(np.zeros((3, 5)), np.array([0, 1, 0]))
         with pytest.raises(SchemaMismatchError):
             predict_raw(model, other)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       family=st.sampled_from(FAMILIES), missing_rate=st.floats(0.0, 0.4),
+       subsample=st.sampled_from([0.5, 0.8, 1.0]),
+       early_stopping_rounds=st.sampled_from([None, 1, 3]))
+def test_serialize_roundtrip_predict_raw_bitwise(n_classes, seed, family, missing_rate,
+                                                 subsample, early_stopping_rounds):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(90, 3))
+    X[rng.random(X.shape) < missing_rate] = np.nan
+    y = rng.integers(0, n_classes, size=90)
+    y[:n_classes] = np.arange(n_classes)  # every class in the training rows
+    names = [str(k) for k in range(n_classes)]
+    train = from_arrays(X[:60], y[:60], class_names=names)
+    valid = from_arrays(X[60:], y[60:], class_names=names)
+    cfg = BoosterConfig(loss=LossSpec(family), tree=tiny_tree(lam=1.0), learning_rate=0.5,
+                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample,
+                        early_stopping_rounds=early_stopping_rounds)
+    model = fit(train, cfg, valid=valid)
+    restored = deserialize(serialize(model))
+    for data in (train, valid):
+        raw = predict_raw(model, data)
+        assert raw.shape == ((data.n_samples,) if n_classes == 2 else (data.n_samples, 3))
+        back = predict_raw(restored, data)
+        assert back.shape == raw.shape and back.tobytes() == raw.tobytes()

@@ -267,6 +267,22 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
 
+    def test_negative_synthetic_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TRAIN_CFG + "synthetic_seed = -1\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "'synthetic_seed'" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+        assert build_config("predict", {"synthetic_seed": "0"})["data"]["synthetic_seed"] == 0
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "ablate"])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, TRAIN_CFG if command == "train" else SWEEP_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_sweep_honours_sce_alpha(self, tmp_path):
         base = ("dataset = synthetic:blobs3\nmethods = sce\nnoise_levels = 0.2\nrepeats = 1\n"
                 "grid_lr = 0.3\ngrid_rounds = 8\nmax_depth = 3\nmax_leaves = 8\n")
@@ -294,3 +310,11 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("name,command", [("benchmark.cfg", "sweep"), ("ablation.cfg", "ablate")])
+def test_committed_configs_build(name, command):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
+    exp = build_config(command, parse_config_file(path))["experiment"]
+    assert exp.dataset == "synthetic:imbalanced" and exp.repeats == 5
+    assert (exp.tree.lam, exp.tree.max_leaves, exp.tree.max_depth) == (1.0, 64, 12)

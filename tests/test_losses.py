@@ -1,10 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from robustboost.losses import (LossConfigError, LossSpec, PhatDomainError,
+from robustboost.losses import (FAMILIES, LossConfigError, LossSpec, PhatDomainError,
                                 check_necessary_condition, grad_hess,
                                 hessian_curve, loss_d1_d2, loss_value,
                                 make_phat, sigmoid)
@@ -219,3 +219,55 @@ def test_rfl_value_nonnegative_and_below_gce(u, q, r):
     gce = float(loss_value(LossSpec("gce", q=q), u))
     assert rfl >= 0.0
     assert rfl <= gce + 1e-12  # focal factor (1-u)^r <= 1
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSingleAlgebra:
+    U = np.concatenate([np.linspace(1e-4, 1 - 1e-4, 999), [0.5, 0.491, 0.509]])
+    Z = np.linspace(-12.0, 12.0, 481)
+    Y = np.arange(481) % 2
+
+    def assert_same_loss(self, a, b):
+        assert_bitwise(loss_value(a, self.U), loss_value(b, self.U))
+        for x, y in zip(loss_d1_d2(a, self.U), loss_d1_d2(b, self.U)):
+            assert_bitwise(x, y)
+        for x, y in zip(grad_hess(a, self.Y, self.Z), grad_hess(b, self.Y, self.Z)):
+            assert_bitwise(x, y)
+
+    def test_fl_r0_is_cce(self):
+        self.assert_same_loss(LossSpec("fl", r=0.0), LossSpec("cce"))
+
+    @pytest.mark.parametrize("eta", [0.0, 0.01])
+    @pytest.mark.parametrize("family", ["mae", "sce", "nce"])
+    def test_focal_wrap_r0_is_unwrapped(self, family, eta):
+        self.assert_same_loss(LossSpec(family, r=0.0, eta=eta, focal_wrap=True),
+                              LossSpec(family, eta=eta))
+
+    def test_trainer_and_check_differ_in_eta_band(self):
+        # the trainer takes s = phat(1-phat) at the unshifted phat, the check
+        # at the shifted one (README, "Loss families")
+        spec = LossSpec("mae", eta=0.01)
+        for phat, trainer, check in ((0.5, 0.0, 5.0e-3), (0.491, -4.5e-3, 5.0e-4)):
+            h = grad_hess(spec, 1, np.log(phat) - np.log1p(-phat))[1]
+            npt.assert_allclose(h, trainer, rtol=0.01, atol=1e-12)
+            npt.assert_allclose(hessian_curve(spec, phat), check, rtol=0.01)
+
+
+SPECS = st.builds(LossSpec, family=st.sampled_from(FAMILIES), r=st.floats(0.0, 3.0),
+                  q=st.floats(0.05, 1.0), eta=st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.2),
+                  sce_alpha=st.floats(0.1, 2.0), sce_beta=st.floats(0.1, 2.0),
+                  focal_wrap=st.booleans())
+
+
+@given(spec=SPECS, z=st.floats(-20.0, 20.0))
+@settings(max_examples=300, deadline=None)
+def test_hessian_curve_is_trainer_hessian_where_unshifted(spec, z):
+    # p = sigmoid(z), so z is the logit of p as grad_hess sees it
+    p = float(sigmoid(z))
+    assume(p > 0.5 or spec.eta == 0.0 or spec.family not in ("mae", "nce"))
+    h = grad_hess(spec, 1, z)[1]
+    npt.assert_allclose(hessian_curve(spec, p), h, rtol=1e-9, atol=0.0)
