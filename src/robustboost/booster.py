@@ -5,18 +5,19 @@ one-vs-all mode), probabilities via sigmoid.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .data import TabularDataset
 from .losses import LossSpec, grad_hess, loss_value, make_phat, sigmoid
-from .tree import Tree, TreeConfig, grow_tree
+from .tree import ModelFormatError, Tree, TreeConfig, grow_tree
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
+# the BoosterConfig fields that model.json stores under "booster"
+BOOSTER_KEYS = ("n_rounds", "seed", "subsample", "early_stopping_rounds")
 
 
 class BoosterConfigError(ValueError):
@@ -28,10 +29,6 @@ class DataError(ValueError):
 
 
 class SchemaMismatchError(ValueError):
-    pass
-
-
-class ModelFormatError(ValueError):
     pass
 
 
@@ -62,9 +59,9 @@ class BoosterConfig:
 @dataclass
 class BoosterModel:
     trees: list  # one tree list per score column: 1 for binary, n_classes otherwise
-    init_score: float
     config: BoosterConfig
-    n_features: int
+    feature_names: list  # the training data's, in column order
+    class_names: list  # the training data's label tokens, in class-index order
     train_loss_history: list = field(default_factory=list)
     valid_loss_history: list = field(default_factory=list)
     best_round: Optional[int] = None
@@ -104,6 +101,9 @@ def fit(data: TabularDataset, config: BoosterConfig,
         raise DataError("need samples from at least 2 classes")
     if y.min() < 0 or y.max() >= config.n_classes:
         raise DataError(f"labels must lie in [0, {config.n_classes})")
+    if data.n_classes != config.n_classes:
+        raise DataError(f"the data names {data.n_classes} classes, "
+                        f"the config has n_classes = {config.n_classes}")
 
     def column_targets(labels):
         if config.n_classes == 2:
@@ -113,8 +113,9 @@ def fit(data: TabularDataset, config: BoosterConfig,
     rng = np.random.default_rng(config.seed)
     n = data.n_samples
     targets = column_targets(y)
-    model = BoosterModel(trees=[[] for _ in targets], init_score=0.0,
-                         config=config, n_features=data.n_features)
+    model = BoosterModel(trees=[[] for _ in targets], config=config,
+                         feature_names=list(data.feature_names),
+                         class_names=list(data.class_names))
     z = np.zeros((n, len(targets)))
     if valid is not None:
         valid_targets = column_targets(np.asarray(valid.labels))
@@ -154,19 +155,34 @@ def fit(data: TabularDataset, config: BoosterConfig,
     return model
 
 
-def _check_schema(model: BoosterModel, data: TabularDataset):
-    if data.n_features != model.n_features:
+def align(model: BoosterModel, data: TabularDataset) -> TabularDataset:
+    """``data`` with its columns matched to the model's feature names, in
+    any order, and its labels encoded through the model's class names."""
+    if sorted(data.feature_names) != sorted(model.feature_names):
+        missing = sorted(set(model.feature_names) - set(data.feature_names))
+        extra = sorted(set(data.feature_names) - set(model.feature_names))
+        raise SchemaMismatchError(f"data columns do not match the model's features: "
+                                  f"missing {missing}, extra {extra}")
+    unseen = sorted(set(data.class_names) - set(model.class_names))
+    if unseen:
         raise SchemaMismatchError(
-            f"model expects {model.n_features} features, got {data.n_features}")
+            f"labels {unseen} are not among the model's classes {model.class_names}")
+    cols = [data.feature_names.index(name) for name in model.feature_names]
+    codes = np.array([model.class_names.index(c) for c in data.class_names], dtype=np.int64)
+    return TabularDataset([data.columns[j] for j in cols], [data.missing[j] for j in cols],
+                          codes[data.labels], list(model.feature_names),
+                          list(model.class_names))
 
 
 def predict_raw(model: BoosterModel, data: TabularDataset):
-    """Accumulated raw scores: init + lr * sum of tree outputs.
+    """Accumulated raw scores: lr * sum of tree outputs.
 
     Binary models return shape (n,); multi-class returns (n, n_classes).
     """
-    _check_schema(model, data)
-    z = np.full((data.n_samples, len(model.trees)), model.init_score)
+    if data.n_features != len(model.feature_names):
+        raise SchemaMismatchError(
+            f"model expects {len(model.feature_names)} features, got {data.n_features}")
+    z = np.zeros((data.n_samples, len(model.trees)))
     for k, lst in enumerate(model.trees):
         for tree in lst:
             z[:, k] = z[:, k] + model.config.learning_rate * tree.predict(data.columns, data.missing)
@@ -197,17 +213,12 @@ def serialize(model: BoosterModel) -> str:
         "format": "robustboost-model",
         "version": MODEL_FORMAT_VERSION,
         "n_classes": model.config.n_classes,
-        "n_features": model.n_features,
+        "feature_names": model.feature_names,
+        "class_names": model.class_names,
         "learning_rate": model.config.learning_rate,
-        "init_score": model.init_score,
-        "loss": dataclasses.asdict(model.config.loss),
-        "tree_config": dataclasses.asdict(model.config.tree),
-        "booster": {
-            "n_rounds": model.config.n_rounds,
-            "seed": model.config.seed,
-            "subsample": model.config.subsample,
-            "early_stopping_rounds": model.config.early_stopping_rounds,
-        },
+        "loss": asdict(model.config.loss),
+        "tree_config": asdict(model.config.tree),
+        "booster": {key: getattr(model.config, key) for key in BOOSTER_KEYS},
         "trees": [[t.to_dict() for t in lst] for lst in model.trees],
     }
     return json.dumps(doc, indent=1)
@@ -229,11 +240,10 @@ def deserialize(text: str) -> BoosterModel:
         tree=TreeConfig(**doc["tree_config"]),
         learning_rate=doc["learning_rate"],
         n_classes=doc["n_classes"],
-        n_rounds=max(1, doc["booster"]["n_rounds"]),
-        seed=doc["booster"]["seed"],
-        subsample=doc["booster"]["subsample"],
-        early_stopping_rounds=doc["booster"]["early_stopping_rounds"],
+        **{key: doc["booster"][key] for key in BOOSTER_KEYS},
     )
-    trees = [[Tree.from_dict(td) for td in lst] for lst in doc["trees"]]
-    return BoosterModel(trees=trees, init_score=doc["init_score"], config=config,
-                        n_features=doc["n_features"])
+    trees = [[Tree.from_dict(record) for record in lst] for lst in doc["trees"]]
+    for tree in (t for lst in trees for t in lst):
+        tree.check(len(doc["feature_names"]))
+    return BoosterModel(trees=trees, config=config, feature_names=doc["feature_names"],
+                        class_names=doc["class_names"])

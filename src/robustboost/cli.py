@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .booster import BoosterConfig, deserialize, fit, predict_proba, serialize
+from .booster import BoosterConfig, align, deserialize, fit, predict_proba, serialize
 from .experiment import (ExperimentConfig, default_method, load_experiment_dataset,
                          read_results, run_ablation, run_sweep, task_metric)
 from .losses import LossSpec
@@ -181,15 +181,15 @@ def cmd_predict(args) -> int:
     cfg = parse_config_file(args.config) if args.config else {}
     if args.data:
         cfg = dict(cfg, dataset=args.data)
-    data = load_experiment_dataset(**build_config("predict", cfg)["data"])
+    data = align(model, load_experiment_dataset(**build_config("predict", cfg)["data"]))
     proba = predict_proba(model, data)
-    labels = np.argmax(proba, axis=1)
+    tokens = [model.class_names[k] for k in np.argmax(proba, axis=1)]
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index"] + [f"proba_{k}" for k in range(proba.shape[1])] + ["label"])
         for i in range(proba.shape[0]):
-            writer.writerow([i] + [repr(float(v)) for v in proba[i]] + [int(labels[i])])
+            writer.writerow([i] + [repr(float(v)) for v in proba[i]] + [tokens[i]])
     metric, value = task_metric(proba, data)
     with open(os.path.join(args.out, "predict_report.json"), "w", encoding="utf-8") as fh:
         json.dump({"metric": metric, "value": value}, fh, indent=1)

@@ -27,25 +27,17 @@ def aucpr(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("aucpr needs both classes present")
+    if np.isnan(scores).any():
+        raise MetricError("aucpr scores contain NaN")
 
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    tp = fp = 0
-    ap = 0.0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        dtp = int((y[i:j] == 1).sum())
-        tp += dtp
-        fp += (j - i) - dtp
-        if dtp:
-            ap += (tp / (tp + fp)) * (dtp / n_pos)
-        i = j
-    return min(ap, 1.0)
+    ends = np.append(np.nonzero(s[1:] != s[:-1])[0], s.size - 1)  # last row of each tie group
+    tp = np.cumsum(labels[order] == 1)[ends]
+    dtp = np.diff(tp, prepend=0)
+    # add the groups' terms one after another, in score order, as a running sum would
+    ap = np.add.accumulate(tp / (ends + 1) * (dtp / n_pos))[-1]
+    return min(float(ap), 1.0)
 
 
 def accuracy(predicted, true) -> float:

@@ -9,6 +9,7 @@ backstop.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -19,6 +20,10 @@ DENOM_EPS = 1e-12
 
 class DegenerateDenominatorError(ZeroDivisionError):
     """|sum_h + lambda| too close to zero for a Newton step."""
+
+
+class ModelFormatError(ValueError):
+    """A model document, or a tree record in it, that cannot be read."""
 
 
 @dataclass(frozen=True)
@@ -51,77 +56,70 @@ class SplitCandidate:
     n_right: int
 
 
-@dataclass
-class Node:
-    # leaf iff feature is None
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    default_left: bool = False
-    left: int = -1
-    right: int = -1
-    weight: float = 0.0
+TREE_FIELDS = ("feature", "threshold", "default_left", "left", "right", "value")
 
 
 @dataclass
 class Tree:
-    nodes: list = field(default_factory=list)
+    """Parallel node lists, root first. ``feature[i] == -1`` marks a leaf
+    whose output is ``value[i]``; a split node sends a row to ``left[i]``
+    when its ``feature[i]`` is missing and ``default_left[i]``, or present
+    and ``<= threshold[i]``, else to ``right[i]``.
+    """
+
+    feature: list = field(default_factory=list)
+    threshold: list = field(default_factory=list)
+    default_left: list = field(default_factory=list)
+    left: list = field(default_factory=list)
+    right: list = field(default_factory=list)
+    value: list = field(default_factory=list)
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.feature is None)
+        return self.feature.count(-1)
+
+    def add_leaf(self, value: float) -> int:
+        for column, v in zip(TREE_FIELDS, (-1, 0.0, False, -1, -1, value)):
+            getattr(self, column).append(v)
+        return len(self.value) - 1
 
     def predict(self, columns, missing):
         """Evaluate the tree on columnar features with a missing mask."""
         n = len(columns[0])
         out = np.empty(n)
-        idx = np.arange(n)
-        stack = [(0, idx)]
+        stack = [(0, np.arange(n))]
         while stack:
-            node_id, rows = stack.pop()
-            node = self.nodes[node_id]
-            if node.feature is None:
-                out[rows] = node.weight
+            node, rows = stack.pop()
+            f = self.feature[node]
+            if f == -1:
+                out[rows] = self.value[node]
                 continue
-            vals = columns[node.feature][rows]
-            miss = missing[node.feature][rows]
-            go_left = np.where(miss, node.default_left, vals <= node.threshold)
-            stack.append((node.left, rows[go_left]))
-            stack.append((node.right, rows[~go_left]))
+            go_left = np.where(missing[f][rows], self.default_left[node],
+                               columns[f][rows] <= self.threshold[node])
+            stack.append((self.left[node], rows[go_left]))
+            stack.append((self.right[node], rows[~go_left]))
         return out
 
     def to_dict(self):
-        return {
-            "nodes": [
-                {"leaf": n.weight}
-                if n.feature is None
-                else {
-                    "feature": n.feature,
-                    "threshold": n.threshold,
-                    "default_left": n.default_left,
-                    "left": n.left,
-                    "right": n.right,
-                }
-                for n in self.nodes
-            ]
-        }
+        return {column: list(getattr(self, column)) for column in TREE_FIELDS}
 
     @classmethod
     def from_dict(cls, d):
-        nodes = []
-        for nd in d["nodes"]:
-            if "leaf" in nd:
-                nodes.append(Node(weight=nd["leaf"]))
-            else:
-                nodes.append(
-                    Node(
-                        feature=nd["feature"],
-                        threshold=nd["threshold"],
-                        default_left=nd["default_left"],
-                        left=nd["left"],
-                        right=nd["right"],
-                    )
-                )
-        return cls(nodes=nodes)
+        return cls(**{column: list(d[column]) for column in TREE_FIELDS})
+
+    def check(self, n_features: int):
+        """Raise ModelFormatError unless every descent from the root reads a
+        feature in [0, n_features) and ends at a leaf."""
+        n = len(self.value)
+        if n == 0 or any(len(getattr(self, column)) != n for column in TREE_FIELDS):
+            raise ModelFormatError("a tree's node lists are empty or differ in length")
+        for i, (f, left, right) in enumerate(zip(self.feature, self.left, self.right)):
+            if f != -1 and (type(f) is not int or not 0 <= f < n_features):
+                raise ModelFormatError(
+                    f"tree node {i} splits on feature {f!r}; the model has {n_features}")
+            if f != -1 and not all(type(c) is int and i < c < n for c in (left, right)):
+                raise ModelFormatError(
+                    f"tree node {i} has children {left!r}, {right!r}; each must lie in ({i}, {n})")
 
 
 def leaf_weight(sum_g: float, sum_h: float, lam: float) -> float:
@@ -188,8 +186,8 @@ def _scan_feature(vals, miss, g, h, config: TreeConfig):
         NL = nl + n_miss if miss_left else nl
         GR, HR, NR = G_tot - GL, H_tot - HL, n_tot - NL
         dl, dr = HL + config.lam, HR + config.lam
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
+        # near-zero denominators are masked below; best_split silences their warnings
+        gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
         bad = (
             (NL < config.min_samples_leaf)
             | (NR < config.min_samples_leaf)
@@ -200,7 +198,7 @@ def _scan_feature(vals, miss, g, h, config: TreeConfig):
             | ~np.isfinite(gain)
         )
         gain[bad] = -np.inf
-        k = int(np.argmax(gain))  # first max -> lowest threshold among ties
+        k = int(gain.argmax())  # first max -> lowest threshold among ties
         if gain[k] < config.min_gain or not np.isfinite(gain[k]):
             continue
         cand = (float(gain[k]), float(thresholds[k]), miss_left,
@@ -220,12 +218,11 @@ def best_split(columns, missing, rows, g, h, config: TreeConfig) -> Optional[Spl
     g_node = g[rows]
     h_node = h[rows]
     best = None
-    for f in range(len(columns)):
-        res = _scan_feature(columns[f][rows], missing[f][rows], g_node, h_node, config)
-        if res is None:
-            continue
-        if best is None or res[0] > best[1][0]:
-            best = (f, res)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for f in range(len(columns)):
+            res = _scan_feature(columns[f][rows], missing[f][rows], g_node, h_node, config)
+            if res is not None and (best is None or res[0] > best[1][0]):
+                best = (f, res)
     if best is None:
         return None
     f, (gain, thr, dl, GL, HL, GR, HR, NL, NR) = best
@@ -247,47 +244,42 @@ def grow_tree(columns, missing, rows, g, h, config: TreeConfig) -> Tree:
     highest split gain until no leaf admits a split or the leaf cap binds.
     """
     rows = np.asarray(rows)
-    tree = Tree(nodes=[Node()])
+    tree = Tree()
     sum_g = float(g[rows].sum())
     sum_h = float(h[rows].sum())
-    tree.nodes[0].weight = _safe_weight(sum_g, sum_h, config.lam)
+    tree.add_leaf(_safe_weight(sum_g, sum_h, config.lam))
     if rows.size == 0 or sum_h < config.min_sum_hessian:
         return tree
 
-    counter = 0  # heap tiebreak: earlier-pushed candidate wins
+    counter = itertools.count()  # heap tiebreak: earlier-pushed candidate wins
     heap = []
+    n_leaves = 1
 
-    def push(node_id, node_rows, depth):
-        nonlocal counter
-        if depth >= config.max_depth or node_rows.size < 2 * config.min_samples_leaf:
+    def push(node, node_rows, depth):
+        # a node can be expanded only while the leaf cap leaves room
+        if (n_leaves >= config.max_leaves or depth >= config.max_depth
+                or node_rows.size < 2 * config.min_samples_leaf):
             return
         cand = best_split(columns, missing, node_rows, g, h, config)
         if cand is not None:
-            heapq.heappush(heap, (-cand.gain, counter, node_id, node_rows, depth, cand))
-            counter += 1
+            heapq.heappush(heap, (-cand.gain, next(counter), node, node_rows, depth, cand))
 
     push(0, rows, 0)
-    n_leaves = 1
     while heap and n_leaves < config.max_leaves:
-        _, _, node_id, node_rows, depth, cand = heapq.heappop(heap)
-        node = tree.nodes[node_id]
-        node.feature = cand.feature
-        node.threshold = cand.threshold
-        node.default_left = cand.default_left
-
+        _, _, node, node_rows, depth, cand = heapq.heappop(heap)
         vals = columns[cand.feature][node_rows]
         miss = missing[cand.feature][node_rows]
         go_left = np.where(miss, cand.default_left, vals <= cand.threshold)
-        left_rows, right_rows = node_rows[go_left], node_rows[~go_left]
 
-        node.left = len(tree.nodes)
-        tree.nodes.append(Node(weight=_safe_weight(cand.g_left, cand.h_left, config.lam)))
-        node.right = len(tree.nodes)
-        tree.nodes.append(Node(weight=_safe_weight(cand.g_right, cand.h_right, config.lam)))
+        tree.feature[node] = cand.feature
+        tree.threshold[node] = cand.threshold
+        tree.default_left[node] = cand.default_left
+        tree.left[node] = tree.add_leaf(_safe_weight(cand.g_left, cand.h_left, config.lam))
+        tree.right[node] = tree.add_leaf(_safe_weight(cand.g_right, cand.h_right, config.lam))
         n_leaves += 1
 
-        push(node.left, left_rows, depth + 1)
-        push(node.right, right_rows, depth + 1)
+        push(tree.left[node], node_rows[go_left], depth + 1)
+        push(tree.right[node], node_rows[~go_left], depth + 1)
     return tree
 
 

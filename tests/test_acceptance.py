@@ -171,16 +171,16 @@ def test_criterion_04_split_oracle():
         h = rng.uniform(0.1, 2.0, size=n)
         tree = grow_tree(cols, miss, np.arange(n), g, h, cfg)
         expected = brute_force_best(cols, miss, g, h, cfg)
-        root = tree.nodes[0]
+        feature, threshold, default_left = tree.feature[0], tree.threshold[0], tree.default_left[0]
         if expected is None:
-            mismatches += 0 if root.feature is None else 1
-        elif root.feature is None:
+            mismatches += 0 if feature == -1 else 1
+        elif feature == -1:
             mismatches += 1
-        elif (root.feature, root.threshold) != expected[1:]:
+        elif (feature, threshold) != expected[1:]:
             # distinct features can induce the identical partition (a true
             # gain tie); accept iff the found split attains the oracle max
-            vals, msk = cols[root.feature], miss[root.feature]
-            left = np.where(msk, root.default_left, vals <= root.threshold)
+            vals, msk = cols[feature], miss[feature]
+            left = np.where(msk, default_left, vals <= threshold)
             GL, HL = g[left].sum(), h[left].sum()
             GR, HR = g[~left].sum(), h[~left].sum()
             gain = 0.5 * (GL**2 / (HL + cfg.lam) + GR**2 / (HR + cfg.lam)

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,14 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustboost import synthetic
-from robustboost.booster import (BoosterConfig, BoosterConfigError, DataError,
-                                 ModelFormatError, SchemaMismatchError,
-                                 deserialize, fit, predict_label,
+from robustboost.booster import (MODEL_FORMAT_VERSION, BoosterConfig, BoosterConfigError,
+                                 DataError, ModelFormatError, SchemaMismatchError,
+                                 align, deserialize, fit, predict_label,
                                  predict_proba, predict_raw, serialize)
 from robustboost.data import from_arrays
 from robustboost.losses import FAMILIES, LossSpec
 from robustboost.metrics import accuracy, aucpr
-from robustboost.tree import TreeConfig
+from robustboost.tree import TREE_FIELDS, TreeConfig
 
 CCE = LossSpec("cce")
 
@@ -156,7 +159,7 @@ class TestSerialization:
 
     def test_version_mismatch(self):
         model, _ = self.model_and_data()
-        text = serialize(model).replace('"version": 1', '"version": 99')
+        text = serialize(model).replace(f'"version": {MODEL_FORMAT_VERSION}', '"version": 99')
         with pytest.raises(ModelFormatError, match="version"):
             deserialize(text)
 
@@ -167,6 +170,83 @@ class TestSerialization:
     def test_wrong_format_tag(self):
         with pytest.raises(ModelFormatError):
             deserialize('{"format": "something-else", "version": 1}')
+
+    def test_v1_document_rejected(self):
+        model, _ = self.model_and_data()
+        doc = json.loads(serialize(model))
+        v1 = {key: doc[key] for key in ("format", "n_classes", "learning_rate", "loss",
+                                         "tree_config", "booster")}
+        v1.update(version=1, n_features=2, init_score=0.0,
+                  trees=[[{"nodes": [{"feature": 0, "threshold": 0.5, "default_left": False,
+                                      "left": 1, "right": 2}, {"leaf": -1.0}, {"leaf": 1.0}]}]])
+        with pytest.raises(ModelFormatError, match="version 1, expected 2"):
+            deserialize(json.dumps(v1))
+
+    def test_document_has_one_tree_record_shape(self):
+        model, _ = self.model_and_data(3)
+        doc = json.loads(serialize(model))
+        assert doc["version"] == MODEL_FORMAT_VERSION == 2
+        assert not {"init_score", "n_features"} & set(doc)
+        assert doc["feature_names"] == ["f0", "f1"] and doc["class_names"] == ["0", "1", "2"]
+        records = [record for column in doc["trees"] for record in column]
+        assert len(records) == 3 * 8
+        assert all(list(record) == list(TREE_FIELDS) for record in records)
+
+    @pytest.mark.parametrize("mutate,named", [
+        (lambda t: t["value"].pop(), "differ in length"),
+        (lambda t: [t[c].clear() for c in TREE_FIELDS], "empty"),
+        (lambda t: t.update(left=[0] + t["left"][1:], right=[0] + t["right"][1:]),
+         "children 0, 0"),  # the root lists itself: predict would never return
+        (lambda t: t["right"].__setitem__(0, len(t["value"])), "children"),
+        (lambda t: t["left"].__setitem__(2, 1), "node 2 has children 1,"),
+        (lambda t: t["left"].__setitem__(0, 1.0), "children"),
+        (lambda t: t["feature"].__setitem__(0, 2), "feature 2; the model has 2"),
+        (lambda t: t["feature"].__setitem__(0, -2), "feature -2"),
+        (lambda t: t["feature"].__setitem__(0, "f0"), "feature 'f0'"),
+    ])
+    def test_invalid_tree_rejected(self, mutate, named):
+        model, _ = self.model_and_data(3)
+        doc = json.loads(serialize(model))
+        tree = doc["trees"][0][0]
+        assert tree["feature"][0] != -1 and tree["feature"][2] != -1  # both are splits
+        mutate(tree)
+        with pytest.raises(ModelFormatError, match=re.escape(named)):
+            deserialize(json.dumps(doc))
+
+    def test_model_records_the_data_schema(self):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(40, 2))
+        y = (X[:, 0] > 0).astype(int)
+        data = from_arrays(X, y, feature_names=["b", "a"], class_names=["neg", "pos"])
+        model = fit(data, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=3))
+        restored = deserialize(serialize(model))
+        assert restored.feature_names == ["b", "a"] and restored.class_names == ["neg", "pos"]
+
+    def test_align_matches_columns_and_classes_by_name(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 3))
+        X[rng.random(X.shape) < 0.2] = np.nan
+        y = (np.nan_to_num(X[:, 0]) > 0).astype(int)
+        data = from_arrays(X, y, feature_names=["a", "b", "c"], class_names=["neg", "pos"])
+        model = fit(data, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=5))
+        shuffled = from_arrays(X[:, [2, 0, 1]], 1 - y, feature_names=["c", "a", "b"],
+                               class_names=["pos", "neg"])
+        aligned = align(model, shuffled)
+        assert aligned.feature_names == ["a", "b", "c"]
+        npt.assert_array_equal(aligned.labels, data.labels)
+        assert predict_raw(model, aligned).tobytes() == predict_raw(model, data).tobytes()
+        renamed = from_arrays(X, y, feature_names=["a", "b", "d"], class_names=["neg", "pos"])
+        with pytest.raises(SchemaMismatchError, match=r"missing \['c'\], extra \['d'\]"):
+            align(model, renamed)
+        unseen = from_arrays(X, y, feature_names=["a", "b", "c"], class_names=["neg", "maybe"])
+        with pytest.raises(SchemaMismatchError, match="maybe"):
+            align(model, unseen)
+
+    def test_fit_rejects_class_count_mismatch(self):
+        data = from_arrays(np.zeros((4, 1)), np.array([0, 1, 0, 1]),
+                           class_names=["a", "b", "c"])
+        with pytest.raises(DataError, match="3 classes"):
+            fit(data, BoosterConfig(n_classes=2))
 
     def test_schema_mismatch_on_predict(self):
         model, _ = self.model_and_data()

@@ -1,8 +1,10 @@
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -300,6 +302,99 @@ class TestExitCodes:
         rfl = exp.resolve_method("rfl")
         assert (rfl.grid_r, rfl.grid_q, rfl.grid_lr, rfl.grid_rounds) == (
             (1.0,), (0.5,), (0.3,), (10,))
+
+
+def write_token_csv(path, X, tokens, header, names="abc"):
+    """A CSV whose columns follow ``header``: the columns of ``X``, named by
+    ``names``, and the label tokens; missing cells are written as NA."""
+    cells = {name: ["NA" if np.isnan(v) else repr(float(v)) for v in X[:, j]]
+             for j, name in enumerate(names)}
+    cells["label"] = list(tokens)
+    lines = [",".join(header)] + [",".join(cells[name][i] for name in header)
+                                  for i in range(len(tokens))]
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def read_predictions(out):
+    with open(os.path.join(out, "predictions.csv")) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]]
+    with open(os.path.join(out, "predict_report.json")) as fh:
+        return rows, json.load(fh)
+
+
+@pytest.fixture(scope="module")
+def token_model(tmp_path_factory):
+    """A CLI-trained model on a CSV whose labels are the tokens neg/pos
+    (first row neg), and its predictions on that CSV."""
+    tmp = tmp_path_factory.mktemp("tokens")
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(150, 3))
+    y = rng.random(150) < 0.3
+    X[y, 0] += 1.0
+    X[rng.random(X.shape) < 0.1] = np.nan
+    y[0] = False
+    tokens = np.where(y, "pos", "neg")
+    train = write_token_csv(tmp / "train.csv", X, tokens, ["a", "b", "c", "label"])
+    cfg = write_config(tmp, f"dataset = {train}\nn_rounds = 10\nmax_leaves = 6\n")
+    assert main(["train", "--config", cfg, "--out", str(tmp / "run")]) == EXIT_OK
+    model = str(tmp / "run" / "model.json")
+    assert main(["predict", "--model", model, "--data", train,
+                 "--out", str(tmp / "pred")]) == EXIT_OK
+    return model, X, tokens, read_predictions(str(tmp / "pred"))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_predict_invariant_to_row_and_column_order(token_model, seed):
+    model, X, tokens, (canonical, report) = token_model
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(tokens))
+    header = [str(c) for c in rng.permutation(["a", "b", "c", "label"])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_token_csv(pathlib.Path(tmp) / "perm.csv", X[perm], tokens[perm], header)
+        out = os.path.join(tmp, "pred")
+        assert main(["predict", "--model", model, "--data", path, "--out", out]) == EXIT_OK
+        rows, perm_report = read_predictions(out)
+    assert perm_report == report  # the same aucpr, bit for bit
+    assert [row[1:] for row in rows] == [canonical[j][1:] for j in perm.tolist()]
+    assert {row[-1] for row in rows} <= {"neg", "pos"}
+
+
+def test_predict_writes_label_tokens(token_model):
+    _, _, tokens, (canonical, report) = token_model
+    assert report["metric"] == "aucpr" and report["value"] > 0.5
+    predicted = [row[-1] for row in canonical]
+    assert set(predicted) == {"neg", "pos"}
+    assert np.mean(np.array(predicted) == tokens) > 0.7
+
+
+@pytest.mark.parametrize("names,header,token,named", [
+    ("abd", ["a", "b", "d", "label"], "neg", "missing ['c'], extra ['d']"),
+    ("abc", ["a", "b", "label"], "neg", "missing ['c'], extra []"),
+    ("abc", ["a", "b", "c", "label"], "maybe", "labels ['maybe']"),
+])
+def test_predict_schema_mismatch_exits_1(token_model, tmp_path, capsys, names, header,
+                                         token, named):
+    model, X, tokens, _ = token_model
+    labels = [token] + list(tokens[1:])
+    path = write_token_csv(tmp_path / "other.csv", X, labels, header, names)
+    code = main(["predict", "--model", model, "--data", path, "--out", str(tmp_path / "p")])
+    assert code == EXIT_RUNTIME
+    assert named in capsys.readouterr().err
+
+
+def test_predict_v1_model_exits_1(token_model, tmp_path, capsys):
+    model, _, _, _ = token_model
+    with open(model) as fh:
+        doc = json.load(fh)
+    doc["version"] = 1
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(path), "--data", "synthetic:separable",
+                 "--out", str(tmp_path / "p")])
+    assert code == EXIT_RUNTIME
+    assert "unsupported model version 1, expected 2" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():

@@ -25,6 +25,29 @@ def brute_force_aucpr(scores, labels):
     return ap
 
 
+def running_sum_aucpr(scores, labels):
+    """Tie groups in descending-score order, each adding its precision times
+    its recall increment to a running sum."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    n_pos = int((labels == 1).sum())
+    order = np.argsort(-scores, kind="stable")
+    s, y = scores[order], labels[order]
+    tp = fp = i = 0
+    ap = 0.0
+    while i < s.size:
+        j = i
+        while j < s.size and s[j] == s[i]:
+            j += 1
+        dtp = int((y[i:j] == 1).sum())
+        tp += dtp
+        fp += (j - i) - dtp
+        if dtp:
+            ap += (tp / (tp + fp)) * (dtp / n_pos)
+        i = j
+    return min(ap, 1.0)
+
+
 class TestAucpr:
     def test_worked_example(self):
         val = aucpr([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
@@ -42,6 +65,20 @@ class TestAucpr:
             aucpr([0.1, 0.2], [1, 1])
         with pytest.raises(MetricError):
             aucpr([0.1, 0.2], [0, 0])
+
+    def test_nan_score_raises(self):
+        with pytest.raises(MetricError, match="NaN"):
+            aucpr([0.1, np.nan, 0.3], [0, 1, 1])
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 300), levels=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_running_sum(self, seed, n, levels):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(0, levels, size=n) / levels
+        labels = (rng.random(n) < rng.random()).astype(int)
+        labels[:2] = [0, 1]
+        value = aucpr(scores, labels)
+        assert type(value) is float and value == running_sum_aucpr(scores, labels)
 
     def test_matches_brute_force_fuzzed(self):
         rng = np.random.default_rng(3)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustboost.tree import (DegenerateDenominatorError, GainScenario, Tree,
+from robustboost import tree as tree_module
+from robustboost.tree import (TREE_FIELDS, DegenerateDenominatorError, GainScenario, Tree,
                               TreeConfig, decomposed_gain, best_split,
                               grow_tree, leaf_objective, leaf_weight)
 
@@ -147,8 +148,8 @@ class TestGrowTree:
         h = np.array([0.25])
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0)
         tree = grow_tree(cols, masks, np.arange(1), g, h, config)
-        assert len(tree.nodes) == 1
-        npt.assert_allclose(tree.nodes[0].weight, 2.0)
+        assert len(tree.feature) == 1
+        npt.assert_allclose(tree.value[0], 2.0)
 
     def test_stump_weights(self):
         cols, masks = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
@@ -169,7 +170,7 @@ class TestGrowTree:
         h = np.ones(6)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1)
         tree = grow_tree(cols, masks, np.arange(6), g, h, config)
-        assert all(n.feature != 0 for n in tree.nodes if n.feature is not None)
+        assert all(f != 0 for f in tree.feature if f != -1)
         assert tree.n_leaves >= 2
 
     def test_max_leaves_cap(self):
@@ -194,10 +195,9 @@ class TestGrowTree:
         tree = grow_tree(cols, masks, np.arange(100), g, h, config)
 
         def depth(node_id, d):
-            node = tree.nodes[node_id]
-            if node.feature is None:
+            if tree.feature[node_id] == -1:
                 return d
-            return max(depth(node.left, d + 1), depth(node.right, d + 1))
+            return max(depth(tree.left[node_id], d + 1), depth(tree.right[node_id], d + 1))
 
         assert depth(0, 0) <= 2
 
@@ -217,9 +217,8 @@ class TestGrowTree:
             if expected is None:
                 assert tree.n_leaves == 1
             else:
-                root = tree.nodes[0]
-                assert root.feature == expected[1]
-                npt.assert_allclose(root.threshold, expected[2], rtol=1e-12)
+                assert tree.feature[0] == expected[1]
+                npt.assert_allclose(tree.threshold[0], expected[2], rtol=1e-12)
 
     def test_nonnegative_gains_all_positive_hessian(self):
         rng = np.random.default_rng(9)
@@ -263,6 +262,60 @@ class TestGrowTree:
         tree = grow_tree(cols, masks, np.arange(50), g, h, TreeConfig(lam=0.1))
         clone = Tree.from_dict(tree.to_dict())
         npt.assert_array_equal(tree.predict(cols, masks), clone.predict(cols, masks))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80), m=st.integers(1, 4),
+       missing_rate=st.sampled_from([0.0, 0.2]), negated=st.sampled_from([0.0, 0.3]),
+       max_depth=st.integers(1, 6), max_leaves=st.integers(1, 20),
+       min_samples_leaf=st.integers(1, 5), lam=st.sampled_from([0.0, 1.0]))
+def test_grown_tree_structure(seed, n, m, missing_rate, negated, max_depth, max_leaves,
+                              min_samples_leaf, lam):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, m)), 1)
+    X[rng.random(X.shape) < missing_rate] = np.nan
+    cols, masks = columns_from(X)
+    g = rng.normal(size=n)
+    h = rng.uniform(0.1, 1.0, size=n) * np.where(rng.random(n) < negated, -1.0, 1.0)
+    config = TreeConfig(lam=lam, min_sum_hessian=0.0, max_depth=max_depth,
+                        max_leaves=max_leaves, min_samples_leaf=min_samples_leaf)
+    tree = grow_tree(cols, masks, np.arange(n), g, h, config)
+
+    n_nodes = len(tree.feature)
+    assert all(len(getattr(tree, c)) == n_nodes for c in TREE_FIELDS)
+    splits = [i for i in range(n_nodes) if tree.feature[i] != -1]
+    children = [c for i in splits for c in (tree.left[i], tree.right[i])]
+    assert all(i < c < n_nodes for i in splits for c in (tree.left[i], tree.right[i]))
+    assert sorted(children) == list(range(1, n_nodes))  # every non-root node has one parent
+    assert all(0 <= tree.feature[i] < m for i in splits)
+    assert tree.n_leaves == len(splits) + 1
+    assert tree.n_leaves <= max_leaves
+
+    depth = [0] * n_nodes
+    for i in splits:  # parents come before their children
+        depth[tree.left[i]] = depth[tree.right[i]] = depth[i] + 1
+    assert max(depth) <= max_depth
+
+
+def test_no_split_search_past_the_leaf_cap(monkeypatch):
+    rng = np.random.default_rng(8)
+    cols, masks = columns_from(rng.normal(size=(100, 2)))
+    g = rng.normal(size=100)
+    h = np.ones(100)
+    calls = []
+    search = tree_module.best_split
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(tree_module, "best_split", counted)
+    for max_leaves, searches in ((1, 0), (2, 1)):
+        calls.clear()
+        config = TreeConfig(lam=0.1, min_sum_hessian=0.0, max_leaves=max_leaves)
+        tree = grow_tree(cols, masks, np.arange(100), g, h, config)
+        assert tree.n_leaves == max_leaves
+        assert len(calls) == searches
 
 
 class TestDecomposedGain:
