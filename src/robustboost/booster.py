@@ -13,11 +13,14 @@ import numpy as np
 
 from .data import TabularDataset
 from .losses import LossSpec, grad_hess, loss_value, make_phat, sigmoid
-from .tree import ModelFormatError, Tree, TreeConfig, grow_tree
+from .tree import ModelFormatError, Tree, TreeConfig, grow_tree, require_fields
 
 MODEL_FORMAT_VERSION = 2
 # the BoosterConfig fields that model.json stores under "booster"
 BOOSTER_KEYS = ("n_rounds", "seed", "subsample", "early_stopping_rounds")
+# the fields deserialize reads after the format tag and version
+MODEL_FIELDS = ("n_classes", "feature_names", "class_names", "learning_rate", "loss",
+                "tree_config", "booster", "trees")
 
 
 class BoosterConfigError(ValueError):
@@ -130,13 +133,12 @@ def fit(data: TabularDataset, config: BoosterConfig,
             g, h = grad_hess(config.loss, yk, z[:, k])
             if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
                 raise AssertionError("non-finite gradient/Hessian from the loss layer")
-            new_trees.append(grow_tree(data.columns, data.missing, rows, g, h, config.tree))
+            new_trees.append(grow_tree(data.columns, rows, g, h, config.tree))
         for k, tree in enumerate(new_trees):
             model.trees[k].append(tree)
-            z[:, k] = z[:, k] + config.learning_rate * tree.predict(data.columns, data.missing)
+            z[:, k] = z[:, k] + config.learning_rate * tree.predict(data.columns)
             if valid is not None:
-                z_valid[:, k] = z_valid[:, k] + config.learning_rate * tree.predict(
-                    valid.columns, valid.missing)
+                z_valid[:, k] = z_valid[:, k] + config.learning_rate * tree.predict(valid.columns)
         model.train_loss_history.append(_mean_loss(config.loss, targets, z))
 
         if valid is not None:
@@ -169,8 +171,7 @@ def align(model: BoosterModel, data: TabularDataset) -> TabularDataset:
             f"labels {unseen} are not among the model's classes {model.class_names}")
     cols = [data.feature_names.index(name) for name in model.feature_names]
     codes = np.array([model.class_names.index(c) for c in data.class_names], dtype=np.int64)
-    return TabularDataset([data.columns[j] for j in cols], [data.missing[j] for j in cols],
-                          codes[data.labels], list(model.feature_names),
+    return TabularDataset(data.columns[cols], codes[data.labels], list(model.feature_names),
                           list(model.class_names))
 
 
@@ -185,7 +186,7 @@ def predict_raw(model: BoosterModel, data: TabularDataset):
     z = np.zeros((data.n_samples, len(model.trees)))
     for k, lst in enumerate(model.trees):
         for tree in lst:
-            z[:, k] = z[:, k] + model.config.learning_rate * tree.predict(data.columns, data.missing)
+            z[:, k] = z[:, k] + model.config.learning_rate * tree.predict(data.columns)
     return z[:, 0] if model.is_binary else z
 
 
@@ -235,6 +236,8 @@ def deserialize(text: str) -> BoosterModel:
         raise ModelFormatError(
             f"unsupported model version {doc.get('version')!r}, "
             f"expected {MODEL_FORMAT_VERSION}")
+    require_fields(doc, MODEL_FIELDS, "the model document")
+    require_fields(doc["booster"], BOOSTER_KEYS, "the model's booster record")
     config = BoosterConfig(
         loss=LossSpec(**doc["loss"]),
         tree=TreeConfig(**doc["tree_config"]),
@@ -242,6 +245,12 @@ def deserialize(text: str) -> BoosterModel:
         n_classes=doc["n_classes"],
         **{key: doc["booster"][key] for key in BOOSTER_KEYS},
     )
+    n_lists = 1 if config.n_classes == 2 else config.n_classes
+    if len(doc["trees"]) != n_lists or len(doc["class_names"]) != config.n_classes:
+        raise ModelFormatError(
+            f"a {config.n_classes}-class model needs {n_lists} tree list(s) and "
+            f"{config.n_classes} class names, the document has {len(doc['trees'])} "
+            f"and {len(doc['class_names'])}")
     trees = [[Tree.from_dict(record) for record in lst] for lst in doc["trees"]]
     for tree in (t for lst in trees for t in lst):
         tree.check(len(doc["feature_names"]))

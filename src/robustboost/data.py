@@ -1,11 +1,12 @@
-"""Columnar tabular data with missing-value masks, CSV loading, and
-deterministic train/test splitting.
+"""Tabular data as one (n_features, n) feature matrix with NaN for missing
+cells, CSV loading, and deterministic train/test splitting.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +23,7 @@ class SplitError(ValueError):
 
 @dataclass
 class TabularDataset:
-    columns: list  # per-feature float arrays; missing cells hold 0.0
-    missing: list  # per-feature bool masks
+    columns: np.ndarray  # C-contiguous (n_features, n) float64; NaN marks a missing cell
     labels: np.ndarray  # int class ids in [0, n_classes)
     feature_names: list
     class_names: list  # original label tokens, first-appearance order
@@ -34,7 +34,7 @@ class TabularDataset:
 
     @property
     def n_features(self) -> int:
-        return len(self.columns)
+        return self.columns.shape[0]
 
     @property
     def n_classes(self) -> int:
@@ -43,8 +43,7 @@ class TabularDataset:
     def subset(self, rows) -> "TabularDataset":
         rows = np.asarray(rows)
         return TabularDataset(
-            columns=[c[rows] for c in self.columns],
-            missing=[m[rows] for m in self.missing],
+            columns=self.columns.take(rows, axis=1),
             labels=self.labels[rows],
             feature_names=list(self.feature_names),
             class_names=list(self.class_names),
@@ -56,24 +55,19 @@ class TabularDataset:
             raise ValueError("label array shape mismatch")
         return TabularDataset(
             columns=self.columns,
-            missing=self.missing,
             labels=labels,
             feature_names=list(self.feature_names),
             class_names=list(self.class_names),
         )
 
 
-def from_arrays(X, y, missing=None, feature_names=None, class_names=None) -> TabularDataset:
-    """Build a dataset from a dense (n, m) feature matrix and labels."""
+def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
+    """Build a dataset from a dense (n, m) feature matrix, NaN marking a
+    missing cell, and labels."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    cols = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
-    if missing is None:
-        masks = [np.isnan(c) for c in cols]
-        cols = [np.where(m, 0.0, c) for c, m in zip(cols, masks)]
-    else:
-        missing = np.asarray(missing, dtype=bool)
-        masks = [np.ascontiguousarray(missing[:, j]) for j in range(X.shape[1])]
+    if np.isinf(X).any():
+        raise ValueError("feature cells must be finite or NaN (missing), found inf")
     if class_names is None:
         class_names = [str(c) for c in sorted(set(y.tolist()))]
         mapping = {c: i for i, c in enumerate(sorted(set(y.tolist())))}
@@ -82,13 +76,15 @@ def from_arrays(X, y, missing=None, feature_names=None, class_names=None) -> Tab
         labels = y.astype(np.int64)
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(X.shape[1])]
-    return TabularDataset(cols, masks, labels, list(feature_names), list(class_names))
+    return TabularDataset(np.ascontiguousarray(X.T), labels, list(feature_names),
+                          list(class_names))
 
 
 def load_csv(path, label_column, missing_tokens=DEFAULT_MISSING_TOKENS,
              delimiter=",") -> TabularDataset:
-    """Load a headered CSV. Feature cells must be numeric or a missing token;
-    labels are encoded by first appearance. No imputation is performed.
+    """Load a headered CSV. Feature cells must be finite numbers or a missing
+    token, which becomes NaN; labels are encoded by first appearance. No
+    imputation is performed.
     """
     missing_tokens = set(missing_tokens)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -102,29 +98,29 @@ def load_csv(path, label_column, missing_tokens=DEFAULT_MISSING_TOKENS,
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
 
-        values, masks, raw_labels = [], [], []
+        values, raw_labels = [], []
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
             raw_labels.append(row[label_idx])
-            vrow, mrow = [], []
+            vrow = []
             for i, cell in enumerate(row):
                 if i == label_idx:
                     continue
                 if cell in missing_tokens:
-                    vrow.append(0.0)
-                    mrow.append(True)
-                else:
-                    try:
-                        vrow.append(float(cell))
-                    except ValueError:
-                        raise CsvParseError(
-                            f"{path}: row {row_no}, column {header[i]!r}: "
-                            f"cannot parse {cell!r} as a number"
-                        )
-                    mrow.append(False)
+                    vrow.append(math.nan)
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    v = math.nan  # reported below, with the non-finite numbers
+                if not math.isfinite(v):
+                    raise CsvParseError(
+                        f"{path}: row {row_no}, column {header[i]!r}: "
+                        f"{cell!r} is not a finite number or a missing token"
+                    )
+                vrow.append(v)
             values.append(vrow)
-            masks.append(mrow)
 
     class_names = []
     seen = {}
@@ -136,10 +132,8 @@ def load_csv(path, label_column, missing_tokens=DEFAULT_MISSING_TOKENS,
         labels[i] = seen[tok]
 
     V = np.array(values, dtype=float).reshape(len(values), len(feature_names))
-    M = np.array(masks, dtype=bool).reshape(len(values), len(feature_names))
     return TabularDataset(
-        columns=[np.ascontiguousarray(V[:, j]) for j in range(V.shape[1])],
-        missing=[np.ascontiguousarray(M[:, j]) for j in range(M.shape[1])],
+        columns=np.ascontiguousarray(V.T),
         labels=labels,
         feature_names=feature_names,
         class_names=class_names,
@@ -156,11 +150,9 @@ def dump_csv(dataset: TabularDataset, path, label_column="label",
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(list(dataset.feature_names) + [label_column])
-        for i in range(dataset.n_samples):
-            row = []
-            for c, m in zip(dataset.columns, dataset.missing):
-                row.append(missing_token if m[i] else repr(float(c[i])))
-            row.append(dataset.class_names[dataset.labels[i]])
+        for values, label in zip(dataset.columns.T.tolist(), dataset.labels):
+            row = [missing_token if v != v else repr(v) for v in values]
+            row.append(dataset.class_names[label])
             writer.writerow(row)
 
 

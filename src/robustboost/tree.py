@@ -26,6 +26,15 @@ class ModelFormatError(ValueError):
     """A model document, or a tree record in it, that cannot be read."""
 
 
+def require_fields(record, fields, what):
+    """Raise ModelFormatError naming each of ``fields`` that ``record`` lacks."""
+    if not isinstance(record, dict):
+        raise ModelFormatError(f"{what} is not a JSON object")
+    absent = [name for name in fields if name not in record]
+    if absent:
+        raise ModelFormatError(f"{what} lacks {', '.join(map(repr, absent))}")
+
+
 @dataclass(frozen=True)
 class TreeConfig:
     lam: float = 1.0
@@ -63,8 +72,8 @@ TREE_FIELDS = ("feature", "threshold", "default_left", "left", "right", "value")
 class Tree:
     """Parallel node lists, root first. ``feature[i] == -1`` marks a leaf
     whose output is ``value[i]``; a split node sends a row to ``left[i]``
-    when its ``feature[i]`` is missing and ``default_left[i]``, or present
-    and ``<= threshold[i]``, else to ``right[i]``.
+    when its ``feature[i]`` is missing (NaN) and ``default_left[i]``, or
+    present and ``<= threshold[i]``, else to ``right[i]``.
     """
 
     feature: list = field(default_factory=list)
@@ -83,9 +92,9 @@ class Tree:
             getattr(self, column).append(v)
         return len(self.value) - 1
 
-    def predict(self, columns, missing):
-        """Evaluate the tree on columnar features with a missing mask."""
-        n = len(columns[0])
+    def predict(self, columns):
+        """Evaluate the tree on an (n_features, n) matrix, NaN for missing."""
+        n = columns.shape[1]
         out = np.empty(n)
         stack = [(0, np.arange(n))]
         while stack:
@@ -94,8 +103,9 @@ class Tree:
             if f == -1:
                 out[rows] = self.value[node]
                 continue
-            go_left = np.where(missing[f][rows], self.default_left[node],
-                               columns[f][rows] <= self.threshold[node])
+            vals = columns[f][rows]
+            go_left = np.where(np.isnan(vals), self.default_left[node],
+                               vals <= self.threshold[node])
             stack.append((self.left[node], rows[go_left]))
             stack.append((self.right[node], rows[~go_left]))
         return out
@@ -105,6 +115,7 @@ class Tree:
 
     @classmethod
     def from_dict(cls, d):
+        require_fields(d, TREE_FIELDS, "a tree record")
         return cls(**{column: list(d[column]) for column in TREE_FIELDS})
 
     def check(self, n_features: int):
@@ -138,11 +149,12 @@ def leaf_objective(sum_g: float, sum_h: float, lam: float) -> float:
     return -0.5 * sum_g * sum_g / denom
 
 
-def _scan_feature(vals, miss, g, h, config: TreeConfig):
-    """Best split of one node on one feature; arrays are node-local.
+def _scan_feature(vals, g, h, config: TreeConfig):
+    """Best split of one node on one feature; arrays are node-local, NaN missing.
 
     Returns (gain, threshold, default_left, aggregates...) or None.
     """
+    miss = np.isnan(vals)
     n_miss = int(miss.sum()) if miss.any() else 0
     if n_miss:
         present = ~miss
@@ -162,7 +174,6 @@ def _scan_feature(vals, miss, g, h, config: TreeConfig):
     cut = np.nonzero(pv[:-1] < pv[1:])[0]
     if cut.size == 0:
         return None
-    thresholds = 0.5 * (pv[cut] + pv[cut + 1])
 
     cg = pg[order].cumsum()
     ch = ph[order].cumsum()
@@ -201,7 +212,9 @@ def _scan_feature(vals, miss, g, h, config: TreeConfig):
         k = int(gain.argmax())  # first max -> lowest threshold among ties
         if gain[k] < config.min_gain or not np.isfinite(gain[k]):
             continue
-        cand = (float(gain[k]), float(thresholds[k]), miss_left,
+        lo, hi = float(pv[cut[k]]), float(pv[cut[k] + 1])
+        mid = 0.5 * lo + 0.5 * hi  # cannot overflow; lo where it rounds up to hi
+        cand = (float(gain[k]), mid if mid < hi else lo, miss_left,
                 float(GL[k]), float(HL[k]), float(GR[k]), float(HR[k]),
                 int(NL[k]), int(NR[k]))
         # prefer higher gain; on exact tie keep missing-right (first iteration)
@@ -210,7 +223,7 @@ def _scan_feature(vals, miss, g, h, config: TreeConfig):
     return best
 
 
-def best_split(columns, missing, rows, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
+def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
     """Exact greedy search over all features for the node given by ``rows``.
 
     Ties in gain resolve to the lowest feature index, then lowest threshold.
@@ -220,7 +233,7 @@ def best_split(columns, missing, rows, g, h, config: TreeConfig) -> Optional[Spl
     best = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for f in range(len(columns)):
-            res = _scan_feature(columns[f][rows], missing[f][rows], g_node, h_node, config)
+            res = _scan_feature(columns[f][rows], g_node, h_node, config)
             if res is not None and (best is None or res[0] > best[1][0]):
                 best = (f, res)
     if best is None:
@@ -239,7 +252,7 @@ def _safe_weight(sum_g, sum_h, lam):
         return 0.0
 
 
-def grow_tree(columns, missing, rows, g, h, config: TreeConfig) -> Tree:
+def grow_tree(columns, rows, g, h, config: TreeConfig) -> Tree:
     """Best-first growth: repeatedly expand the frontier leaf with the
     highest split gain until no leaf admits a split or the leaf cap binds.
     """
@@ -260,7 +273,8 @@ def grow_tree(columns, missing, rows, g, h, config: TreeConfig) -> Tree:
         if (n_leaves >= config.max_leaves or depth >= config.max_depth
                 or node_rows.size < 2 * config.min_samples_leaf):
             return
-        cand = best_split(columns, missing, node_rows, g, h, config)
+        # rows by keyword: a tracer wrapping best_split reads it by name
+        cand = best_split(columns, rows=node_rows, g=g, h=h, config=config)
         if cand is not None:
             heapq.heappush(heap, (-cand.gain, next(counter), node, node_rows, depth, cand))
 
@@ -268,8 +282,7 @@ def grow_tree(columns, missing, rows, g, h, config: TreeConfig) -> Tree:
     while heap and n_leaves < config.max_leaves:
         _, _, node, node_rows, depth, cand = heapq.heappop(heap)
         vals = columns[cand.feature][node_rows]
-        miss = missing[cand.feature][node_rows]
-        go_left = np.where(miss, cand.default_left, vals <= cand.threshold)
+        go_left = np.where(np.isnan(vals), cand.default_left, vals <= cand.threshold)
 
         tree.feature[node] = cand.feature
         tree.threshold[node] = cand.threshold

@@ -169,7 +169,7 @@ def test_criterion_04_split_oracle():
         miss = [rng.random(n) < 0.15 for _ in range(m)]
         g = rng.normal(size=n)
         h = rng.uniform(0.1, 2.0, size=n)
-        tree = grow_tree(cols, miss, np.arange(n), g, h, cfg)
+        tree = grow_tree(np.where(miss, np.nan, cols), np.arange(n), g, h, cfg)
         expected = brute_force_best(cols, miss, g, h, cfg)
         feature, threshold, default_left = tree.feature[0], tree.threshold[0], tree.default_left[0]
         if expected is None:

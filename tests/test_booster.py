@@ -203,6 +203,7 @@ class TestSerialization:
         (lambda t: t["feature"].__setitem__(0, 2), "feature 2; the model has 2"),
         (lambda t: t["feature"].__setitem__(0, -2), "feature -2"),
         (lambda t: t["feature"].__setitem__(0, "f0"), "feature 'f0'"),
+        (lambda t: t.pop("value"), "a tree record lacks 'value'"),
     ])
     def test_invalid_tree_rejected(self, mutate, named):
         model, _ = self.model_and_data(3)
@@ -210,6 +211,24 @@ class TestSerialization:
         tree = doc["trees"][0][0]
         assert tree["feature"][0] != -1 and tree["feature"][2] != -1  # both are splits
         mutate(tree)
+        with pytest.raises(ModelFormatError, match=re.escape(named)):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("n_classes,mutate,named", [
+        (3, lambda d: d.pop("class_names"), "the model document lacks 'class_names'"),
+        (2, lambda d: [d.pop(key) for key in ("trees", "loss")], "lacks 'loss', 'trees'"),
+        (2, lambda d: d["booster"].pop("seed"), "booster record lacks 'seed'"),
+        (2, lambda d: d.update(booster=[]), "booster record is not a JSON object"),
+        # cut to one tree list, a 3-class model would predict 2 columns
+        (3, lambda d: d.update(trees=d["trees"][:1]), "needs 3 tree list(s)"),
+        (2, lambda d: d["trees"].append(d["trees"][0]), "needs 1 tree list(s)"),
+        (3, lambda d: d["class_names"].pop(), "the document has 3 and 2"),
+        (2, lambda d: d["class_names"].append("extra"), "the document has 1 and 3"),
+    ])
+    def test_invalid_document_rejected(self, n_classes, mutate, named):
+        model, _ = self.model_and_data(n_classes)
+        doc = json.loads(serialize(model))
+        mutate(doc)
         with pytest.raises(ModelFormatError, match=re.escape(named)):
             deserialize(json.dumps(doc))
 

@@ -1,9 +1,13 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustboost.booster import BoosterConfig, BoosterModel, align
 from robustboost.data import (CsvParseError, SplitError, dump_csv,
                               from_arrays, imbalance_ratio, load_csv,
                               train_test_split)
@@ -20,8 +24,8 @@ class TestLoadCsv:
         path = write(tmp_path, "a,b,label\n1.5,2.0,x\n3.0,?,y\n4.0,5.0,x\n")
         ds = load_csv(path, label_column="label")
         assert ds.n_samples == 3 and ds.n_features == 2
-        assert int(sum(m.sum() for m in ds.missing)) == 1
-        assert bool(ds.missing[1][1])
+        assert int(np.isnan(ds.columns).sum()) == 1
+        assert bool(np.isnan(ds.columns[1, 1]))
         npt.assert_array_equal(ds.columns[0], [1.5, 3.0, 4.0])
 
     def test_label_first_appearance_order(self, tmp_path):
@@ -36,26 +40,47 @@ class TestLoadCsv:
             load_csv(path, label_column="target")
 
     def test_bad_cell_names_location(self, tmp_path):
-        path = write(tmp_path, "a,b,label\n1,2,x\n1,oops,y\n")
-        with pytest.raises(CsvParseError, match="row 3.*'b'"):
-            load_csv(path, label_column="label")
+        # NaN marks a missing cell, so a present cell must be a finite number
+        for cell in ("oops", "nan", "inf", "-Infinity"):
+            path = write(tmp_path, f"a,b,label\n1,2,x\n1,{cell},y\n")
+            with pytest.raises(CsvParseError, match="row 3.*'b'"):
+                load_csv(path, label_column="label")
 
-    def test_roundtrip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(20, 3))
-        X[rng.random(X.shape) < 0.2] = np.nan
-        y = rng.integers(0, 2, size=20)
+    @given(n=st.integers(1, 40), m=st.integers(1, 5), seed=st.integers(0, 2**16),
+           nan_rate=st.sampled_from([0.0, 0.2, 0.7, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_roundtrip_bit_exact(self, n, m, seed, nan_rate):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-300, 300, size=(n, m))
+        X[rng.random(X.shape) < nan_rate] = np.nan
+        y = rng.integers(0, 2, size=n)
         ds = from_arrays(X, y)
-        out = tmp_path / "dump.csv"
-        dump_csv(ds, out)
-        ds2 = load_csv(str(out), label_column="label")
-        for c1, c2, m1, m2 in zip(ds.columns, ds2.columns, ds.missing, ds2.missing):
-            npt.assert_array_equal(m1, m2)
-            npt.assert_array_equal(c1[~m1], c2[~m2])
+        assert ds.columns.flags["C_CONTIGUOUS"] and ds.columns.tobytes() == X.T.tobytes()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "dump.csv"
+            dump_csv(ds, out)
+            ds2 = load_csv(str(out), label_column="label")
+        assert ds2.columns.tobytes() == ds.columns.tobytes()
         # integer codes follow first-appearance order, so compare decoded names
         names1 = [ds.class_names[k] for k in ds.labels]
         names2 = [ds2.class_names[k] for k in ds2.labels]
         assert names1 == names2
+
+        rows = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+        part = ds.subset(rows)
+        assert part.columns.flags["C_CONTIGUOUS"] and part.columns.tobytes() == X[rows].T.tobytes()
+        perm = rng.permutation(m)
+        shuffled = from_arrays(X[:, perm], y, feature_names=[ds.feature_names[j] for j in perm])
+        model = BoosterModel(trees=[[]], config=BoosterConfig(),
+                             feature_names=ds.feature_names, class_names=ds.class_names)
+        aligned = align(model, shuffled)
+        assert aligned.columns.flags["C_CONTIGUOUS"]
+        assert aligned.columns.tobytes() == ds.columns.tobytes()
+
+    @pytest.mark.parametrize("cell", [np.inf, -np.inf])
+    def test_from_arrays_rejects_infinite_cells(self, cell):
+        with pytest.raises(ValueError, match="inf"):
+            from_arrays(np.array([[1.0, np.nan], [cell, 2.0]]), np.array([0, 1]))
 
 
 class TestSplit:

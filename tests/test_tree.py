@@ -13,11 +13,8 @@ from robustboost.tree import (TREE_FIELDS, DegenerateDenominatorError, GainScena
 
 
 def columns_from(X):
-    X = np.asarray(X, dtype=float)
-    cols = [np.ascontiguousarray(X[:, j]) for j in range(X.shape[1])]
-    masks = [np.isnan(c) for c in cols]
-    cols = [np.where(m, 0.0, c) for c, m in zip(cols, masks)]
-    return cols, masks
+    """The (n_features, n) matrix of an (n, n_features) array, NaN for missing."""
+    return np.ascontiguousarray(np.asarray(X, dtype=float).T)
 
 
 def brute_force_best(columns, missing, g, h, config):
@@ -82,36 +79,36 @@ class TestLeafFormulas:
 
 class TestBestSplit:
     def four_sample_fixture(self):
-        cols, masks = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
+        cols = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         h = np.ones(4)
-        return cols, masks, g, h
+        return cols, g, h
 
     def test_four_sample_example(self):
-        cols, masks, g, h = self.four_sample_fixture()
+        cols, g, h = self.four_sample_fixture()
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_gain=0.0,
                             min_samples_leaf=1)
-        cand = best_split(cols, masks, np.arange(4), g, h, config)
+        cand = best_split(cols, np.arange(4), g, h, config)
         assert cand.threshold == 2.5
         npt.assert_allclose(cand.gain, 2.0)
         assert cand.feature == 0
 
     def test_uniform_grad_no_split_with_delta(self):
-        cols, masks = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
+        cols = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
         g = np.full(4, 0.3)
         h = np.full(4, 1.0)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_gain=1e-9,
                             min_samples_leaf=1)
-        assert best_split(cols, masks, np.arange(4), g, h, config) is None
+        assert best_split(cols, np.arange(4), g, h, config) is None
 
     def test_low_hessian_child_excluded(self):
         # the gain-maximal split would isolate the negative-h samples
-        cols, masks = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
+        cols = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         h = np.array([-0.4, -0.4, 1.0, 1.0])
         config = TreeConfig(lam=0.0, min_sum_hessian=0.5, min_gain=0.0,
                             min_samples_leaf=1)
-        cand = best_split(cols, masks, np.arange(4), g, h, config)
+        cand = best_split(cols, np.arange(4), g, h, config)
         # left child of threshold 2.5 has sum_h = -0.8 < 0.5, so either no
         # split or one whose children both clear the bar
         if cand is not None:
@@ -119,11 +116,11 @@ class TestBestSplit:
 
     def test_missing_routed_both_ways(self):
         X = np.array([[1.0], [2.0], [3.0], [np.nan], [np.nan]])
-        cols, masks = columns_from(X)
+        cols = columns_from(X)
         g = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
         h = np.ones(5)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1)
-        cand = best_split(cols, masks, np.arange(5), g, h, config)
+        cand = best_split(cols, np.arange(5), g, h, config)
         assert cand is not None
         # routing the positive-gradient missing samples right maximizes gain
         assert cand.default_left is False
@@ -132,67 +129,67 @@ class TestBestSplit:
     def test_aggregates_sum_to_parent(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 3))
-        cols, masks = columns_from(X)
+        cols = columns_from(X)
         g = rng.normal(size=40)
         h = rng.uniform(0.1, 1.0, size=40)
         config = TreeConfig(lam=0.5, min_sum_hessian=0.0, min_samples_leaf=1)
-        cand = best_split(cols, masks, np.arange(40), g, h, config)
+        cand = best_split(cols, np.arange(40), g, h, config)
         npt.assert_allclose(cand.g_left + cand.g_right, g.sum(), rtol=1e-9)
         npt.assert_allclose(cand.h_left + cand.h_right, h.sum(), rtol=1e-9)
 
 
 class TestGrowTree:
     def test_single_sample_root_only(self):
-        cols, masks = columns_from(np.array([[1.0]]))
+        cols = columns_from(np.array([[1.0]]))
         g = np.array([-0.5])
         h = np.array([0.25])
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0)
-        tree = grow_tree(cols, masks, np.arange(1), g, h, config)
+        tree = grow_tree(cols, np.arange(1), g, h, config)
         assert len(tree.feature) == 1
         npt.assert_allclose(tree.value[0], 2.0)
 
     def test_stump_weights(self):
-        cols, masks = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
+        cols = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
         g = np.array([-1.0, -1.0, 1.0, 1.0])
         h = np.ones(4)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1,
                             max_leaves=2)
-        tree = grow_tree(cols, masks, np.arange(4), g, h, config)
+        tree = grow_tree(cols, np.arange(4), g, h, config)
         assert tree.n_leaves == 2
-        pred = tree.predict(cols, masks)
+        pred = tree.predict(cols)
         npt.assert_allclose(pred, [1.0, 1.0, -1.0, -1.0])
 
     def test_all_missing_feature_ignored(self):
         X = np.column_stack([np.full(6, np.nan),
                              np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])])
-        cols, masks = columns_from(X)
+        cols = columns_from(X)
         g = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
         h = np.ones(6)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1)
-        tree = grow_tree(cols, masks, np.arange(6), g, h, config)
+        tree = grow_tree(cols, np.arange(6), g, h, config)
         assert all(f != 0 for f in tree.feature if f != -1)
         assert tree.n_leaves >= 2
 
     def test_max_leaves_cap(self):
         rng = np.random.default_rng(5)
         X = rng.normal(size=(100, 2))
-        cols, masks = columns_from(X)
+        cols = columns_from(X)
         g = rng.normal(size=100)
         h = np.ones(100)
         config = TreeConfig(lam=0.1, max_leaves=5, max_depth=20,
                             min_sum_hessian=0.0)
-        tree = grow_tree(cols, masks, np.arange(100), g, h, config)
+        tree = grow_tree(cols, np.arange(100), g, h, config)
         assert tree.n_leaves <= 5
 
     def test_max_depth_cap(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(100, 2))
-        cols, masks = columns_from(X)
+        cols = columns_from(X)
         g = rng.normal(size=100)
         h = np.ones(100)
         config = TreeConfig(lam=0.1, max_leaves=1000, max_depth=2,
                             min_sum_hessian=0.0)
-        tree = grow_tree(cols, masks, np.arange(100), g, h, config)
+        tree = grow_tree(cols, np.arange(100), g, h, config)
 
         def depth(node_id, d):
             if tree.feature[node_id] == -1:
@@ -211,9 +208,9 @@ class TestGrowTree:
             X = rng.integers(0, 7, size=(n, m)).astype(float)
             g = rng.normal(size=n)
             h = rng.uniform(0.05, 1.0, size=n)
-            cols, masks = columns_from(X)
-            expected = brute_force_best(cols, masks, g, h, config)
-            tree = grow_tree(cols, masks, np.arange(n), g, h, config)
+            cols = columns_from(X)
+            expected = brute_force_best(cols, np.isnan(cols), g, h, config)
+            tree = grow_tree(cols, np.arange(n), g, h, config)
             if expected is None:
                 assert tree.n_leaves == 1
             else:
@@ -223,12 +220,12 @@ class TestGrowTree:
     def test_nonnegative_gains_all_positive_hessian(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(60, 2))
-        cols, masks = columns_from(X)
+        cols = columns_from(X)
         g = rng.normal(size=60)
         h = rng.uniform(0.1, 1.0, size=60)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_gain=0.0,
                             min_samples_leaf=1)
-        cand = best_split(cols, masks, np.arange(60), g, h, config)
+        cand = best_split(cols, np.arange(60), g, h, config)
         assert cand.gain >= 0.0
 
     def test_negated_hessians_shrink_trees(self):
@@ -236,7 +233,7 @@ class TestGrowTree:
         X = rng.normal(size=(200, 3))
         g = rng.normal(size=200)
         h = rng.uniform(0.1, 1.0, size=200)
-        cols, masks = columns_from(X)
+        cols = columns_from(X)
         config = TreeConfig(lam=0.0, min_sum_hessian=1e-3, max_leaves=64,
                             max_depth=12, min_samples_leaf=1)
         medians = []
@@ -248,7 +245,7 @@ class TestGrowTree:
                 k = int(frac * 200)
                 if k:
                     hh[r2.choice(200, k, replace=False)] *= -1
-                tree = grow_tree(cols, masks, np.arange(200), g, hh, config)
+                tree = grow_tree(cols, np.arange(200), g, hh, config)
                 leaves.append(tree.n_leaves)
             medians.append(np.median(leaves))
         assert medians[0] >= medians[1] >= medians[2]
@@ -256,12 +253,12 @@ class TestGrowTree:
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(21)
         X = rng.normal(size=(50, 2))
-        cols, masks = columns_from(X)
+        cols = columns_from(X)
         g = rng.normal(size=50)
         h = np.ones(50)
-        tree = grow_tree(cols, masks, np.arange(50), g, h, TreeConfig(lam=0.1))
+        tree = grow_tree(cols, np.arange(50), g, h, TreeConfig(lam=0.1))
         clone = Tree.from_dict(tree.to_dict())
-        npt.assert_array_equal(tree.predict(cols, masks), clone.predict(cols, masks))
+        npt.assert_array_equal(tree.predict(cols), clone.predict(cols))
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,12 +271,12 @@ def test_grown_tree_structure(seed, n, m, missing_rate, negated, max_depth, max_
     rng = np.random.default_rng(seed)
     X = np.round(rng.normal(size=(n, m)), 1)
     X[rng.random(X.shape) < missing_rate] = np.nan
-    cols, masks = columns_from(X)
+    cols = columns_from(X)
     g = rng.normal(size=n)
     h = rng.uniform(0.1, 1.0, size=n) * np.where(rng.random(n) < negated, -1.0, 1.0)
     config = TreeConfig(lam=lam, min_sum_hessian=0.0, max_depth=max_depth,
                         max_leaves=max_leaves, min_samples_leaf=min_samples_leaf)
-    tree = grow_tree(cols, masks, np.arange(n), g, h, config)
+    tree = grow_tree(cols, np.arange(n), g, h, config)
 
     n_nodes = len(tree.feature)
     assert all(len(getattr(tree, c)) == n_nodes for c in TREE_FIELDS)
@@ -299,23 +296,50 @@ def test_grown_tree_structure(seed, n, m, missing_rate, negated, max_depth, max_
 
 def test_no_split_search_past_the_leaf_cap(monkeypatch):
     rng = np.random.default_rng(8)
-    cols, masks = columns_from(rng.normal(size=(100, 2)))
+    cols = columns_from(rng.normal(size=(100, 2)))
     g = rng.normal(size=100)
     h = np.ones(100)
     calls = []
     search = tree_module.best_split
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args)
-        return search(*args)
+        return search(*args, **kwargs)
 
     monkeypatch.setattr(tree_module, "best_split", counted)
     for max_leaves, searches in ((1, 0), (2, 1)):
         calls.clear()
         config = TreeConfig(lam=0.1, min_sum_hessian=0.0, max_leaves=max_leaves)
-        tree = grow_tree(cols, masks, np.arange(100), g, h, config)
+        tree = grow_tree(cols, np.arange(100), g, h, config)
         assert tree.n_leaves == max_leaves
         assert len(calls) == searches
+
+
+# repeats, adjacent doubles, pairs whose sum overflows, subnormals and NaN
+SPLIT_VALUES = (0.0, 1.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0),
+                2.0, 1e308, 1.7e308, -1.7e308, 5e-324, 1e-323, np.nan)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), m=st.integers(1, 3),
+       max_leaves=st.integers(1, 12), lam=st.sampled_from([0.0, 1.0]))
+def test_leaf_values_match_the_rows_routed_to_them(data, n, m, max_leaves, lam):
+    cells = data.draw(st.lists(st.sampled_from(SPLIT_VALUES), min_size=n * m, max_size=n * m))
+    cols = columns_from(np.reshape(cells, (n, m)))
+    # quarter-integer g and h: every sum is exact in any order
+    g = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    h = np.array(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 4.0
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    config = TreeConfig(lam=lam, min_sum_hessian=0.0, max_leaves=max_leaves)
+    tree = grow_tree(cols, rows, g, h, config)
+
+    node_ids = Tree(**{**tree.to_dict(), "value": list(range(len(tree.value)))})
+    leaf_of = node_ids.predict(cols[:, rows])
+    for leaf in (i for i, f in enumerate(tree.feature) if f == -1):
+        routed = rows[leaf_of == leaf]
+        assert routed.size > 0, f"no training row reaches leaf {leaf}"
+        npt.assert_allclose(tree.value[leaf], -g[routed].sum() / (h[routed].sum() + lam),
+                            rtol=1e-9)
 
 
 class TestDecomposedGain:
