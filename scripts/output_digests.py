@@ -1,0 +1,162 @@
+#!/usr/bin/env python3
+"""Print one ``name sha256`` line per output that a change may claim to keep
+bitwise unchanged, so two commits can be compared with ``diff``:
+
+- the files of ``robustboost train`` and ``predict`` on the CLI tests' train
+  config, on its synthetic data and on a CSV with missing cells;
+- every file of the acceptance gate's criterion-12 sweep at ``--seed 9``;
+- ``predict_raw`` (train and validation), ``serialize()``, the loss
+  histories and ``best_round`` of a fixed set of fits with missing cells,
+  row subsampling and early stopping.
+
+Usage, from the repository root:
+
+    PYTHONPATH=src python scripts/output_digests.py > digests.txt
+
+It writes only to a temporary directory and runs in well under a minute.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import tempfile
+
+import numpy as np
+
+from robustboost.booster import BoosterConfig, fit, predict_raw, serialize
+from robustboost.cli import main as cli_main
+from robustboost.data import dump_csv, from_arrays
+from robustboost.losses import LossSpec
+from robustboost.tree import TreeConfig
+
+# TRAIN_CFG of tests/test_cli.py
+TRAIN_CFG = """
+dataset = synthetic:separable
+family = rfl
+r = 1.0
+q = 0.5
+learning_rate = 0.3
+n_rounds = 15
+lam = 1.0
+max_depth = 3
+max_leaves = 8
+"""
+
+# the sweep of tests/test_acceptance.py criterion 12
+SWEEP_CFG = """
+dataset = synthetic:imbalanced
+methods = rfl,cce
+noise_levels = 0.0,0.3
+repeats = 2
+grid_r = 1.0
+grid_q = 0.5
+grid_lr = 0.3
+grid_rounds = 30
+max_depth = 6
+max_leaves = 16
+"""
+
+# (loss family, n_classes, subsample, early_stopping_rounds)
+FITS = (
+    ("cce", 2, 0.8, 5),
+    ("rfl", 2, 0.7, None),
+    ("gce", 3, 0.8, None),
+    ("fl", 3, 1.0, 5),
+    ("mae", 2, 0.8, None),
+    ("nce", 4, 0.7, None),
+    ("sce", 2, 0.7, 5),
+    ("rfl", 4, 0.8, 5),
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def emit(name, data: bytes):
+    print(f"{name} {sha256(data)}")
+
+
+def emit_dir(prefix, path):
+    for root, _, files in sorted(os.walk(path)):
+        for name in sorted(files):
+            full = os.path.join(root, name)
+            with open(full, "rb") as fh:
+                emit(f"{prefix}/{os.path.relpath(full, path)}", fh.read())
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"robustboost {' '.join(argv)} exited {code}: {err.getvalue()}")
+
+
+def noisy_dataset(rng, n, n_classes, missing_rate=0.05, m=4):
+    X = rng.normal(size=(n, m))
+    score = X @ rng.normal(size=m) + 0.2 * rng.normal(size=n)
+    y = np.digitize(score, np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1]))
+    X[rng.random(X.shape) < missing_rate] = np.nan
+    return from_arrays(np.round(X, 2), y, class_names=[f"c{k}" for k in range(n_classes)])
+
+
+def cli_digests(tmp):
+    cfg = os.path.join(tmp, "train.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(TRAIN_CFG)
+    run_cli(["train", "--config", cfg, "--out", os.path.join(tmp, "train"), "--seed", "1"])
+    run_cli(["predict", "--model", os.path.join(tmp, "train", "model.json"),
+             "--data", "synthetic:separable", "--out", os.path.join(tmp, "predict")])
+    emit_dir("train", os.path.join(tmp, "train"))
+    emit_dir("predict", os.path.join(tmp, "predict"))
+
+    csv_path = os.path.join(tmp, "na.csv")
+    dump_csv(noisy_dataset(np.random.default_rng(500), 500, 2, missing_rate=0.1), csv_path)
+    cfg = os.path.join(tmp, "train_na.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(TRAIN_CFG.replace("synthetic:separable", csv_path))
+    run_cli(["train", "--config", cfg, "--out", os.path.join(tmp, "train_na"), "--seed", "1"])
+    run_cli(["predict", "--model", os.path.join(tmp, "train_na", "model.json"),
+             "--data", csv_path, "--out", os.path.join(tmp, "predict_na")])
+    emit_dir("train_na", os.path.join(tmp, "train_na"))
+    emit_dir("predict_na", os.path.join(tmp, "predict_na"))
+
+
+def sweep_digests(tmp):
+    cfg = os.path.join(tmp, "sweep.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(SWEEP_CFG)
+    run_cli(["sweep", "--config", cfg, "--out", os.path.join(tmp, "sweep"), "--seed", "9"])
+    emit_dir("sweep", os.path.join(tmp, "sweep"))
+
+
+def fit_digests():
+    for i, (family, n_classes, subsample, patience) in enumerate(FITS):
+        rng = np.random.default_rng(100 + i)
+        data = noisy_dataset(rng, 550, n_classes)
+        train, valid = data.subset(np.arange(400)), data.subset(np.arange(400, 550))
+        config = BoosterConfig(
+            loss=LossSpec(family), tree=TreeConfig(lam=0.5, max_depth=5, max_leaves=12),
+            learning_rate=0.3, n_rounds=40, n_classes=n_classes, seed=i,
+            subsample=subsample, early_stopping_rounds=patience)
+        model = fit(train, config, valid=valid)
+        name = f"fit{i}_{family}_{n_classes}class"
+        emit(f"{name}/predict_raw_train", predict_raw(model, train).tobytes())
+        emit(f"{name}/predict_raw_valid", predict_raw(model, valid).tobytes())
+        emit(f"{name}/serialize", serialize(model).encode())
+        emit(f"{name}/train_loss_history", np.array(model.train_loss_history).tobytes())
+        emit(f"{name}/valid_loss_history", np.array(model.valid_loss_history).tobytes())
+        emit(f"{name}/best_round", repr(model.best_round).encode())
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        cli_digests(tmp)
+        sweep_digests(tmp)
+    fit_digests()
+
+
+if __name__ == "__main__":
+    main()

@@ -6,21 +6,23 @@ one-vs-all mode), probabilities via sigmoid.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
 from .data import TabularDataset
 from .losses import LossSpec, grad_hess, loss_value, make_phat, sigmoid
-from .tree import ModelFormatError, Tree, TreeConfig, grow_tree, require_fields
+from .tree import NUMBER, ModelFormatError, Tree, TreeConfig, grow_tree, require_fields
 
 MODEL_FORMAT_VERSION = 2
-# the BoosterConfig fields that model.json stores under "booster"
-BOOSTER_KEYS = ("n_rounds", "seed", "subsample", "early_stopping_rounds")
-# the fields deserialize reads after the format tag and version
-MODEL_FIELDS = ("n_classes", "feature_names", "class_names", "learning_rate", "loss",
-                "tree_config", "booster", "trees")
+# the BoosterConfig fields that model.json stores under "booster", with their JSON types
+BOOSTER_KEYS = {"n_rounds": (int,), "seed": (int,), "subsample": NUMBER,
+                "early_stopping_rounds": (int, type(None))}
+# the fields of model.json with their JSON types; the records are checked on their own
+MODEL_FIELDS = {"format": (str,), "version": (int,), "n_classes": (int,),
+                "feature_names": (list,), "class_names": (list,), "learning_rate": NUMBER,
+                "loss": (), "tree_config": (), "booster": (), "trees": (list,)}
 
 
 class BoosterConfigError(ValueError):
@@ -238,12 +240,18 @@ def deserialize(text: str) -> BoosterModel:
             f"expected {MODEL_FORMAT_VERSION}")
     require_fields(doc, MODEL_FIELDS, "the model document")
     require_fields(doc["booster"], BOOSTER_KEYS, "the model's booster record")
+    for key, cls in (("loss", LossSpec), ("tree_config", TreeConfig)):
+        # every field of the dataclass, typed as its default (a float field takes any number)
+        require_fields(doc[key], {f.name: NUMBER if type(f.default) is float else (type(f.default),)
+                                  for f in fields(cls)}, f"the model's {key} record")
+    if not all(type(lst) is list for lst in doc["trees"]):
+        raise ModelFormatError("the model document's trees are not lists of tree records")
     config = BoosterConfig(
         loss=LossSpec(**doc["loss"]),
         tree=TreeConfig(**doc["tree_config"]),
         learning_rate=doc["learning_rate"],
         n_classes=doc["n_classes"],
-        **{key: doc["booster"][key] for key in BOOSTER_KEYS},
+        **doc["booster"],
     )
     n_lists = 1 if config.n_classes == 2 else config.n_classes
     if len(doc["trees"]) != n_lists or len(doc["class_names"]) != config.n_classes:

@@ -80,15 +80,13 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
                           list(class_names))
 
 
-def load_csv(path, label_column, missing_tokens=DEFAULT_MISSING_TOKENS,
-             delimiter=",") -> TabularDataset:
+def load_csv(path, label_column) -> TabularDataset:
     """Load a headered CSV. Feature cells must be finite numbers or a missing
     token, which becomes NaN; labels are encoded by first appearance. No
     imputation is performed.
     """
-    missing_tokens = set(missing_tokens)
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -107,7 +105,7 @@ def load_csv(path, label_column, missing_tokens=DEFAULT_MISSING_TOKENS,
             for i, cell in enumerate(row):
                 if i == label_idx:
                     continue
-                if cell in missing_tokens:
+                if cell in DEFAULT_MISSING_TOKENS:
                     vrow.append(math.nan)
                     continue
                 try:
@@ -140,18 +138,17 @@ def load_csv(path, label_column, missing_tokens=DEFAULT_MISSING_TOKENS,
     )
 
 
-def dump_csv(dataset: TabularDataset, path, label_column="label",
-             missing_token="NA", delimiter=","):
-    """Write back to CSV; missing cells become the canonical missing token.
+def dump_csv(dataset: TabularDataset, path):
+    """Write back to CSV, the labels last as ``label``, missing cells as ``NA``.
 
     Present values use repr-shortest float formatting, so load -> dump ->
     load round-trips bit-exactly.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(list(dataset.feature_names) + [label_column])
+        writer = csv.writer(fh)
+        writer.writerow(list(dataset.feature_names) + ["label"])
         for values, label in zip(dataset.columns.T.tolist(), dataset.labels):
-            row = [missing_token if v != v else repr(v) for v in values]
+            row = ["NA" if v != v else repr(v) for v in values]
             row.append(dataset.class_names[label])
             writer.writerow(row)
 

@@ -4,6 +4,11 @@ Exact greedy split search over midpoint thresholds, Newton leaf weights
 -G/(H+lambda), gain-based split acceptance, and learned default directions
 for missing values. Growth is best-first up to a leaf cap with a depth
 backstop.
+
+Split search sorts once per tree (``presort``); each split filters every
+feature's sorted row list in order, and a scan scores each threshold with the
+NaN suffix sent right, then left, in one vector. Gain ties go to the lowest
+feature, then missing right, then the lowest threshold.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 DENOM_EPS = 1e-12
+NUMBER = (int, float)  # the JSON types of a number
 
 
 class DegenerateDenominatorError(ZeroDivisionError):
@@ -26,13 +32,20 @@ class ModelFormatError(ValueError):
     """A model document, or a tree record in it, that cannot be read."""
 
 
-def require_fields(record, fields, what):
-    """Raise ModelFormatError naming each of ``fields`` that ``record`` lacks."""
+def require_fields(record, kinds, what):
+    """Raise ModelFormatError unless ``record`` is a JSON object with exactly
+    the fields of ``kinds``, each of a type in ``kinds[field]`` (any, if that
+    is empty); name the missing fields, else the first unknown or mistyped one."""
     if not isinstance(record, dict):
         raise ModelFormatError(f"{what} is not a JSON object")
-    absent = [name for name in fields if name not in record]
+    absent = [name for name in kinds if name not in record]
     if absent:
         raise ModelFormatError(f"{what} lacks {', '.join(map(repr, absent))}")
+    for name, value in record.items():
+        if name not in kinds:
+            raise ModelFormatError(f"{what} has an unknown field {name!r}")
+        if kinds[name] and type(value) not in kinds[name]:
+            raise ModelFormatError(f"{what} has {name} {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,9 +116,7 @@ class Tree:
             if f == -1:
                 out[rows] = self.value[node]
                 continue
-            vals = columns[f][rows]
-            go_left = np.where(np.isnan(vals), self.default_left[node],
-                               vals <= self.threshold[node])
+            go_left = route_left(columns[f][rows], self.default_left[node], self.threshold[node])
             stack.append((self.left[node], rows[go_left]))
             stack.append((self.right[node], rows[~go_left]))
         return out
@@ -115,15 +126,20 @@ class Tree:
 
     @classmethod
     def from_dict(cls, d):
-        require_fields(d, TREE_FIELDS, "a tree record")
+        require_fields(d, dict.fromkeys(TREE_FIELDS, (list,)), "a tree record")
         return cls(**{column: list(d[column]) for column in TREE_FIELDS})
 
     def check(self, n_features: int):
-        """Raise ModelFormatError unless every descent from the root reads a
+        """Raise ModelFormatError unless every threshold and value is a number,
+        every default_left a bool, and every descent from the root reads a
         feature in [0, n_features) and ends at a leaf."""
         n = len(self.value)
         if n == 0 or any(len(getattr(self, column)) != n for column in TREE_FIELDS):
             raise ModelFormatError("a tree's node lists are empty or differ in length")
+        for column, kinds in (("threshold", NUMBER), ("value", NUMBER), ("default_left", (bool,))):
+            for i, v in enumerate(getattr(self, column)):
+                if type(v) not in kinds:
+                    raise ModelFormatError(f"tree node {i} has {column} {v!r}")
         for i, (f, left, right) in enumerate(zip(self.feature, self.left, self.right)):
             if f != -1 and (type(f) is not int or not 0 <= f < n_features):
                 raise ModelFormatError(
@@ -149,100 +165,75 @@ def leaf_objective(sum_g: float, sum_h: float, lam: float) -> float:
     return -0.5 * sum_g * sum_g / denom
 
 
-def _scan_feature(vals, g, h, config: TreeConfig):
-    """Best split of one node on one feature; arrays are node-local, NaN missing.
+def route_left(vals, default_left, threshold):
+    """Which of ``vals`` a split sends left: missing (NaN) ones when
+    ``default_left``, present ones when ``<= threshold``."""
+    return np.where(np.isnan(vals), default_left, vals <= threshold)
 
-    Returns (gain, threshold, default_left, aggregates...) or None.
-    """
-    miss = np.isnan(vals)
-    n_miss = int(miss.sum()) if miss.any() else 0
-    if n_miss:
-        present = ~miss
-        pv = vals[present]
-        pg = g[present]
-        ph = h[present]
-        g_miss = float(g[miss].sum())
-        h_miss = float(h[miss].sum())
-    else:
-        pv, pg, ph = vals, g, h
-        g_miss = h_miss = 0.0
-    if pv.size < 2:
-        return None
-    order = pv.argsort(kind="stable")
-    pv = pv[order]
+
+def presort(columns, rows):
+    """The (len(rows), n_features) row-id matrix whose column f lists ``rows``
+    in ascending order of feature f, NaN last, ties in ``rows`` order."""
+    return rows[columns.take(rows, axis=1).argsort(axis=1, kind="stable")].T
+
+
+def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
+    """Best split of one node on feature ``f``, whose values ``vals`` ascend
+    with NaN (missing) last; ``g`` and ``h`` follow their order."""
+    n_present = int(vals.searchsorted(np.nan))  # the first NaN
+    pv = vals[:n_present]
     # boundaries between consecutive distinct present values
     cut = np.nonzero(pv[:-1] < pv[1:])[0]
     if cut.size == 0:
         return None
 
-    cg = pg[order].cumsum()
-    ch = ph[order].cumsum()
-    G, H = cg[-1], ch[-1]
-    G_tot, H_tot = G + g_miss, H + h_miss
-    n_tot = vals.size
+    cg, ch = g[:n_present].cumsum(), h[:n_present].cumsum()
+    g_miss, h_miss = float(g[n_present:].sum()), float(h[n_present:].sum())
+    G_tot, H_tot = cg[-1] + g_miss, ch[-1] + h_miss
 
     denom_p = H_tot + config.lam
     if abs(denom_p) < DENOM_EPS:
         return None
     parent_term = G_tot * G_tot / denom_p
 
-    gl = cg[cut]
-    hl = ch[cut]
-    nl = cut + 1
-
-    best = None
-    for miss_left in (False, True) if n_miss else (False,):
-        GL = gl + g_miss if miss_left else gl
-        HL = hl + h_miss if miss_left else hl
-        NL = nl + n_miss if miss_left else nl
-        GR, HR, NR = G_tot - GL, H_tot - HL, n_tot - NL
-        dl, dr = HL + config.lam, HR + config.lam
-        # near-zero denominators are masked below; best_split silences their warnings
-        gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
-        bad = (
-            (NL < config.min_samples_leaf)
-            | (NR < config.min_samples_leaf)
-            | (HL < config.min_sum_hessian)
-            | (HR < config.min_sum_hessian)
-            | (np.abs(dl) <= DENOM_EPS)
-            | (np.abs(dr) <= DENOM_EPS)
-            | ~np.isfinite(gain)
-        )
-        gain[bad] = -np.inf
-        k = int(gain.argmax())  # first max -> lowest threshold among ties
-        if gain[k] < config.min_gain or not np.isfinite(gain[k]):
-            continue
-        lo, hi = float(pv[cut[k]]), float(pv[cut[k] + 1])
-        mid = 0.5 * lo + 0.5 * hi  # cannot overflow; lo where it rounds up to hi
-        cand = (float(gain[k]), mid if mid < hi else lo, miss_left,
-                float(GL[k]), float(HL[k]), float(GR[k]), float(HR[k]),
-                int(NL[k]), int(NR[k]))
-        # prefer higher gain; on exact tie keep missing-right (first iteration)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    return best
+    # every cut with the missing rows right, then every cut with them left
+    # (no such second half without missing rows: it would repeat the first)
+    n_miss = vals.size - n_present
+    left_cut = cut if n_miss else cut[:0]
+    GL = np.concatenate((cg[cut], cg[left_cut] + g_miss))
+    HL = np.concatenate((ch[cut], ch[left_cut] + h_miss))
+    NL = np.concatenate((cut, left_cut + n_miss)) + 1
+    GR, HR, NR = G_tot - GL, H_tot - HL, vals.size - NL
+    dl, dr = HL + config.lam, HR + config.lam
+    # near-zero denominators are masked below; best_split silences their warnings
+    gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
+    bad = ((NL < config.min_samples_leaf) | (NR < config.min_samples_leaf)
+           | (HL < config.min_sum_hessian) | (HR < config.min_sum_hessian)
+           | (np.abs(dl) <= DENOM_EPS) | (np.abs(dr) <= DENOM_EPS) | ~np.isfinite(gain))
+    gain[bad] = -np.inf
+    k = int(gain.argmax())  # first max: missing right, then lowest threshold
+    if gain[k] < config.min_gain or not np.isfinite(gain[k]):
+        return None
+    c = cut[k % cut.size]
+    lo, hi = float(pv[c]), float(pv[c + 1])
+    mid = 0.5 * lo + 0.5 * hi  # cannot overflow; lo where it rounds up to hi
+    return SplitCandidate(f, mid if mid < hi else lo, float(gain[k]), k >= cut.size,
+                          float(GL[k]), float(HL[k]), float(GR[k]), float(HR[k]),
+                          int(NL[k]), int(NR[k]))
 
 
 def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
-    """Exact greedy search over all features for the node given by ``rows``.
-
-    Ties in gain resolve to the lowest feature index, then lowest threshold.
-    """
-    g_node = g[rows]
-    h_node = h[rows]
+    """Exact greedy search over all features for the node whose ``presort``
+    matrix is ``rows``. Gain ties go to the lowest feature index, then
+    missing rows right, then the lowest threshold."""
     best = None
     with np.errstate(divide="ignore", invalid="ignore"):
         for f in range(len(columns)):
-            res = _scan_feature(columns[f][rows], g_node, h_node, config)
-            if res is not None and (best is None or res[0] > best[1][0]):
-                best = (f, res)
-    if best is None:
-        return None
-    f, (gain, thr, dl, GL, HL, GR, HR, NL, NR) = best
-    return SplitCandidate(
-        feature=f, threshold=thr, gain=gain, default_left=dl,
-        g_left=GL, h_left=HL, g_right=GR, h_right=HR, n_left=NL, n_right=NR,
-    )
+            ids = rows[:, f]
+            cand = _scan_feature(f, columns[f][ids], g[ids], h[ids], config)
+            if cand is not None and (best is None or cand.gain > best.gain):
+                best = cand
+    return best
 
 
 def _safe_weight(sum_g, sum_h, lam):
@@ -258,8 +249,7 @@ def grow_tree(columns, rows, g, h, config: TreeConfig) -> Tree:
     """
     rows = np.asarray(rows)
     tree = Tree()
-    sum_g = float(g[rows].sum())
-    sum_h = float(h[rows].sum())
+    sum_g, sum_h = float(g[rows].sum()), float(h[rows].sum())
     tree.add_leaf(_safe_weight(sum_g, sum_h, config.lam))
     if rows.size == 0 or sum_h < config.min_sum_hessian:
         return tree
@@ -267,22 +257,23 @@ def grow_tree(columns, rows, g, h, config: TreeConfig) -> Tree:
     counter = itertools.count()  # heap tiebreak: earlier-pushed candidate wins
     heap = []
     n_leaves = 1
+    goes_left = np.empty(columns.shape[1], dtype=bool)  # indexed by row id
 
     def push(node, node_rows, depth):
         # a node can be expanded only while the leaf cap leaves room
         if (n_leaves >= config.max_leaves or depth >= config.max_depth
-                or node_rows.size < 2 * config.min_samples_leaf):
+                or len(node_rows) < 2 * config.min_samples_leaf):
             return
         # rows by keyword: a tracer wrapping best_split reads it by name
         cand = best_split(columns, rows=node_rows, g=g, h=h, config=config)
         if cand is not None:
             heapq.heappush(heap, (-cand.gain, next(counter), node, node_rows, depth, cand))
 
-    push(0, rows, 0)
+    push(0, presort(columns, rows), 0)
     while heap and n_leaves < config.max_leaves:
         _, _, node, node_rows, depth, cand = heapq.heappop(heap)
-        vals = columns[cand.feature][node_rows]
-        go_left = np.where(np.isnan(vals), cand.default_left, vals <= cand.threshold)
+        ids = node_rows[:, cand.feature]
+        goes_left[ids] = route_left(columns[cand.feature][ids], cand.default_left, cand.threshold)
 
         tree.feature[node] = cand.feature
         tree.threshold[node] = cand.threshold
@@ -291,8 +282,11 @@ def grow_tree(columns, rows, g, h, config: TreeConfig) -> Tree:
         tree.right[node] = tree.add_leaf(_safe_weight(cand.g_right, cand.h_right, config.lam))
         n_leaves += 1
 
-        push(tree.left[node], node_rows[go_left], depth + 1)
-        push(tree.right[node], node_rows[~go_left], depth + 1)
+        # each feature's list, filtered in order, stays sorted
+        by_feature = node_rows.T
+        left = goes_left[by_feature]
+        push(tree.left[node], by_feature[left].reshape(len(columns), -1).T, depth + 1)
+        push(tree.right[node], by_feature[~left].reshape(len(columns), -1).T, depth + 1)
     return tree
 
 

@@ -204,6 +204,10 @@ class TestSerialization:
         (lambda t: t["feature"].__setitem__(0, -2), "feature -2"),
         (lambda t: t["feature"].__setitem__(0, "f0"), "feature 'f0'"),
         (lambda t: t.pop("value"), "a tree record lacks 'value'"),
+        (lambda t: t.update(value=3), "a tree record has value 3"),
+        (lambda t: t["threshold"].__setitem__(0, "x"), "tree node 0 has threshold 'x'"),
+        (lambda t: t["value"].__setitem__(1, None), "tree node 1 has value None"),
+        (lambda t: t["default_left"].__setitem__(0, 1), "tree node 0 has default_left 1"),
     ])
     def test_invalid_tree_rejected(self, mutate, named):
         model, _ = self.model_and_data(3)
@@ -224,6 +228,13 @@ class TestSerialization:
         (2, lambda d: d["trees"].append(d["trees"][0]), "needs 1 tree list(s)"),
         (3, lambda d: d["class_names"].pop(), "the document has 3 and 2"),
         (2, lambda d: d["class_names"].append("extra"), "the document has 1 and 3"),
+        (2, lambda d: d["loss"].update(bogus=1), "loss record has an unknown field 'bogus'"),
+        (2, lambda d: d["tree_config"].update(lam="1"), "tree_config record has lam '1'"),
+        (2, lambda d: d.update(n_classes="2"), "the model document has n_classes '2'"),
+        (2, lambda d: d["booster"].update(early_stopping_rounds=2.5),
+         "booster record has early_stopping_rounds 2.5"),
+        (2, lambda d: d.update(feature_names=5), "the model document has feature_names 5"),
+        (3, lambda d: d["trees"].__setitem__(1, {}), "trees are not lists of tree records"),
     ])
     def test_invalid_document_rejected(self, n_classes, mutate, named):
         model, _ = self.model_and_data(n_classes)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from robustboost import tree as tree_module
 from robustboost.tree import (TREE_FIELDS, DegenerateDenominatorError, GainScenario, Tree,
                               TreeConfig, decomposed_gain, best_split,
-                              grow_tree, leaf_objective, leaf_weight)
+                              grow_tree, leaf_objective, leaf_weight, presort)
 
 
 def columns_from(X):
@@ -88,7 +88,7 @@ class TestBestSplit:
         cols, g, h = self.four_sample_fixture()
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_gain=0.0,
                             min_samples_leaf=1)
-        cand = best_split(cols, np.arange(4), g, h, config)
+        cand = best_split(cols, presort(cols, np.arange(4)), g, h, config)
         assert cand.threshold == 2.5
         npt.assert_allclose(cand.gain, 2.0)
         assert cand.feature == 0
@@ -99,7 +99,7 @@ class TestBestSplit:
         h = np.full(4, 1.0)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_gain=1e-9,
                             min_samples_leaf=1)
-        assert best_split(cols, np.arange(4), g, h, config) is None
+        assert best_split(cols, presort(cols, np.arange(4)), g, h, config) is None
 
     def test_low_hessian_child_excluded(self):
         # the gain-maximal split would isolate the negative-h samples
@@ -108,7 +108,7 @@ class TestBestSplit:
         h = np.array([-0.4, -0.4, 1.0, 1.0])
         config = TreeConfig(lam=0.0, min_sum_hessian=0.5, min_gain=0.0,
                             min_samples_leaf=1)
-        cand = best_split(cols, np.arange(4), g, h, config)
+        cand = best_split(cols, presort(cols, np.arange(4)), g, h, config)
         # left child of threshold 2.5 has sum_h = -0.8 < 0.5, so either no
         # split or one whose children both clear the bar
         if cand is not None:
@@ -120,11 +120,18 @@ class TestBestSplit:
         g = np.array([-1.0, -1.0, 1.0, 1.0, 1.0])
         h = np.ones(5)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1)
-        cand = best_split(cols, np.arange(5), g, h, config)
+        cand = best_split(cols, presort(cols, np.arange(5)), g, h, config)
         assert cand is not None
         # routing the positive-gradient missing samples right maximizes gain
         assert cand.default_left is False
         assert cand.n_left + cand.n_right == 5
+
+        # missing rows with g = h = 0 give both directions the same gain:
+        # the tie goes to missing right
+        g[3:] = h[3:] = 0.0
+        cand = best_split(cols, presort(cols, np.arange(5)), g, h, config)
+        assert cand.threshold == 2.5 and cand.default_left is False
+        assert (cand.n_left, cand.n_right) == (2, 3)
 
     def test_aggregates_sum_to_parent(self):
         rng = np.random.default_rng(3)
@@ -133,7 +140,7 @@ class TestBestSplit:
         g = rng.normal(size=40)
         h = rng.uniform(0.1, 1.0, size=40)
         config = TreeConfig(lam=0.5, min_sum_hessian=0.0, min_samples_leaf=1)
-        cand = best_split(cols, np.arange(40), g, h, config)
+        cand = best_split(cols, presort(cols, np.arange(40)), g, h, config)
         npt.assert_allclose(cand.g_left + cand.g_right, g.sum(), rtol=1e-9)
         npt.assert_allclose(cand.h_left + cand.h_right, h.sum(), rtol=1e-9)
 
@@ -225,7 +232,7 @@ class TestGrowTree:
         h = rng.uniform(0.1, 1.0, size=60)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_gain=0.0,
                             min_samples_leaf=1)
-        cand = best_split(cols, np.arange(60), g, h, config)
+        cand = best_split(cols, presort(cols, np.arange(60)), g, h, config)
         assert cand.gain >= 0.0
 
     def test_negated_hessians_shrink_trees(self):
@@ -340,6 +347,33 @@ def test_leaf_values_match_the_rows_routed_to_them(data, n, m, max_leaves, lam):
         assert routed.size > 0, f"no training row reaches leaf {leaf}"
         npt.assert_allclose(tree.value[leaf], -g[routed].sum() / (h[routed].sum() + lam),
                             rtol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 30), m=st.integers(1, 3),
+       max_leaves=st.integers(2, 12))
+def test_split_search_reads_each_node_presorted(data, n, m, max_leaves):
+    cells = data.draw(st.lists(st.sampled_from(SPLIT_VALUES), min_size=n * m, max_size=n * m))
+    cols = columns_from(np.reshape(cells, (n, m)))
+    g = np.array(data.draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    h = np.ones(n)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    seen = []
+    search = tree_module.best_split
+
+    def recorded(*args, **kwargs):
+        seen.append(kwargs["rows"])
+        return search(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tree_module, "best_split", recorded)
+        grow_tree(cols, rows, g, h, TreeConfig(lam=1.0, min_sum_hessian=0.0,
+                                               max_leaves=max_leaves))
+    if rows.size >= 2:
+        npt.assert_array_equal(seen[0], presort(cols, rows))
+    for node_rows in seen:
+        # one row set in every column, ascending by value, NaN last, ties by row id
+        npt.assert_array_equal(node_rows, presort(cols, np.sort(node_rows[:, 0])))
 
 
 class TestDecomposedGain:
