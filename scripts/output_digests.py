@@ -4,7 +4,9 @@ bitwise unchanged, so two commits can be compared with ``diff``:
 
 - the files of ``robustboost train`` and ``predict`` on the CLI tests' train
   config, on its synthetic data and on a CSV with missing cells;
-- every file of the acceptance gate's criterion-12 sweep at ``--seed 9``;
+- every file of the acceptance gate's criterion-12 sweep at ``--seed 9``,
+  and of two sweeps whose grids hold several ``grid_rounds`` values (the
+  staged tuning path of ``experiment.fit_tuned``);
 - ``predict_raw`` (train and validation), ``serialize()``, the loss
   histories and ``best_round`` of a fixed set of fits with missing cells,
   row subsampling and early stopping.
@@ -53,6 +55,32 @@ grid_r = 1.0
 grid_q = 0.5
 grid_lr = 0.3
 grid_rounds = 30
+max_depth = 6
+max_leaves = 16
+"""
+
+# the shape of perfbench's noise_sweep workload: two lr-sharing rfl losses and cce
+NOISE_SWEEP_CFG = """
+dataset = synthetic:imbalanced
+methods = rfl,cce
+noise_levels = 0.0,0.2,0.4
+repeats = 2
+grid_r = 0.5,2.0
+grid_q = 0.5
+grid_lr = 0.1
+grid_rounds = 6,8
+max_leaves = 8
+"""
+
+# a 3-class sweep with its rounds out of order; its winners use all three values
+BLOBS3_CFG = """
+dataset = synthetic:blobs3
+methods = cce,gce,mae
+noise_levels = 0.2,0.4
+repeats = 2
+grid_q = 0.5,0.7
+grid_lr = 0.1,0.3
+grid_rounds = 9,3,5
 max_depth = 6
 max_leaves = 16
 """
@@ -125,11 +153,13 @@ def cli_digests(tmp):
 
 
 def sweep_digests(tmp):
-    cfg = os.path.join(tmp, "sweep.cfg")
-    with open(cfg, "w") as fh:
-        fh.write(SWEEP_CFG)
-    run_cli(["sweep", "--config", cfg, "--out", os.path.join(tmp, "sweep"), "--seed", "9"])
-    emit_dir("sweep", os.path.join(tmp, "sweep"))
+    for name, text, seed in (("sweep", SWEEP_CFG, "9"), ("noise_sweep", NOISE_SWEEP_CFG, "41"),
+                             ("blobs3_sweep", BLOBS3_CFG, "3")):
+        cfg = os.path.join(tmp, f"{name}.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        run_cli(["sweep", "--config", cfg, "--out", os.path.join(tmp, name), "--seed", seed])
+        emit_dir(name, os.path.join(tmp, name))
 
 
 def fit_digests():

@@ -66,6 +66,13 @@ def non_negative_int(text):
     return value
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
 def _list(conv):
     return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
 
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=non_negative_int, default=0, help="master seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=positive_int, default=1)
         p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="rank tables from a sweep results.csv")

@@ -117,6 +117,8 @@ class ExperimentConfig:
                 raise ValueError(f"noise level {g} outside [0, 0.5)")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if not (0.0 < self.fraction < 1.0 and 0.0 < self.tune_fraction < 1.0):
             raise ValueError("fraction and tune_fraction must be in (0, 1)")
 
@@ -154,6 +156,13 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
               n_classes: int, tune_fraction: float, tune_seed: int, model_seed: int):
     """Grid-search on an internal split of (possibly noisy) training data,
     then refit the winner on the full training set.
+
+    Staged: the candidates sharing a (loss, lr) are fitted once, at their
+    longest ``rounds``, and each is scored on that model's first ``rounds``
+    trees, which are exactly a ``rounds``-round fit with the same seed (no
+    early stopping here). The first candidate in ``candidates()`` order with
+    the highest score wins, so a tie goes to the earlier grid value, not to
+    the shorter fit.
     """
     candidates = method.candidates()
     if len(candidates) > 1:
@@ -164,13 +173,19 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
         sub_train = train.subset(plan.train_indices)
         sub_valid = train.subset(plan.test_indices)
         best = None
-        for i, (spec, lr, rounds) in enumerate(candidates):
-            cfg = BoosterConfig(loss=spec, tree=tree, learning_rate=lr,
-                                n_rounds=rounds, n_classes=n_classes, seed=model_seed)
-            model = fit(sub_train, cfg)
-            score = task_metric(predict_proba(model, sub_valid), sub_valid)[1]
-            if best is None or score > best[0]:
-                best = (score, i)
+        # candidates() puts rounds innermost, so each (loss, lr) group is adjacent
+        for (spec, lr), group in itertools.groupby(enumerate(candidates),
+                                                   key=lambda c: c[1][:2]):
+            group = list(group)
+            model = fit(sub_train, BoosterConfig(
+                loss=spec, tree=tree, learning_rate=lr, n_rounds=max(c[2] for _, c in group),
+                n_classes=n_classes, seed=model_seed))
+            for i, (_, _, rounds) in group:
+                staged = replace(model, trees=[lst[:rounds] for lst in model.trees])
+                score = task_metric(predict_proba(staged, sub_valid), sub_valid)[1]
+                if best is None or score > best[0]:
+                    best = (score, i)
+            del model, staged  # one tuning model alive at a time
         spec, lr, rounds = candidates[best[1]]
     else:
         spec, lr, rounds = candidates[0]

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -310,3 +311,28 @@ def test_serialize_roundtrip_predict_raw_bitwise(n_classes, seed, family, missin
         assert raw.shape == ((data.n_samples,) if n_classes == 2 else (data.n_samples, 3))
         back = predict_raw(restored, data)
         assert back.shape == raw.shape and back.tobytes() == raw.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       rounds=st.integers(1, 7).flatmap(lambda k: st.tuples(st.just(k), st.integers(k + 1, 9))),
+       subsample=st.sampled_from([1.0, 0.7]), missing_rate=st.floats(0.0, 0.3))
+def test_shorter_fit_is_a_prefix_of_a_longer_one(n_classes, seed, rounds, subsample,
+                                                 missing_rate):
+    # staged tuning in experiment.fit_tuned scores a k-round fit as the first k trees
+    # of a longer fit with the same seed
+    k, n = rounds
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(70, 3))
+    X[rng.random(X.shape) < missing_rate] = np.nan
+    y = rng.integers(0, n_classes, size=70)
+    y[:n_classes] = np.arange(n_classes)
+    data = from_arrays(X, y, class_names=[str(c) for c in range(n_classes)])
+    cfg = BoosterConfig(loss=LossSpec("rfl", r=1.0), tree=tiny_tree(lam=1.0),
+                        learning_rate=0.5, n_rounds=n, n_classes=n_classes, seed=seed,
+                        subsample=subsample)
+    long, short = fit(data, cfg), fit(data, replace(cfg, n_rounds=k))
+    assert [[t.to_dict() for t in lst] for lst in short.trees] == \
+        [[t.to_dict() for t in lst[:k]] for lst in long.trees]
+    cut = replace(long, trees=[lst[:k] for lst in long.trees])
+    assert predict_raw(short, data).tobytes() == predict_raw(cut, data).tobytes()

@@ -276,6 +276,16 @@ class TestExitCodes:
         assert not os.path.exists(tmp_path / "o")
         assert build_config("predict", {"synthetic_seed": "0"})["data"]["synthetic_seed"] == 0
 
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_non_positive_threads_flag_exits_2(self, tmp_path, capsys, command, threads):
+        cfg = write_config(tmp_path, SWEEP_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     @pytest.mark.parametrize("command", ["train", "sweep", "ablate"])
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, TRAIN_CFG if command == "train" else SWEEP_CFG)
