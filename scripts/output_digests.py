@@ -5,8 +5,9 @@ bitwise unchanged, so two commits can be compared with ``diff``:
 - the files of ``robustboost train`` and ``predict`` on the CLI tests' train
   config, on its synthetic data and on a CSV with missing cells;
 - every file of the acceptance gate's criterion-12 sweep at ``--seed 9``,
-  and of two sweeps whose grids hold several ``grid_rounds`` values (the
-  staged tuning path of ``experiment.fit_tuned``);
+  of two sweeps whose grids hold several ``grid_rounds`` values (the staged
+  tuning path of ``experiment.fit_tuned``) and of a small ``robustboost
+  ablate``;
 - ``predict_raw`` (train and validation), ``serialize()``, the loss
   histories and ``best_round`` of a fixed set of fits with missing cells,
   row subsampling and early stopping.
@@ -85,6 +86,18 @@ max_depth = 6
 max_leaves = 16
 """
 
+# an ablation of rfl (full, r = 0, q -> 0) with two r values and two rounds values
+ABLATE_CFG = """
+dataset = synthetic:imbalanced
+noise_levels = 0.0,0.3
+repeats = 2
+grid_r = 0.5,2.0
+grid_q = 0.5
+grid_lr = 0.3
+grid_rounds = 4,8
+max_leaves = 8
+"""
+
 # (loss family, n_classes, subsample, early_stopping_rounds)
 FITS = (
     ("cce", 2, 0.8, 5),
@@ -153,12 +166,13 @@ def cli_digests(tmp):
 
 
 def sweep_digests(tmp):
-    for name, text, seed in (("sweep", SWEEP_CFG, "9"), ("noise_sweep", NOISE_SWEEP_CFG, "41"),
-                             ("blobs3_sweep", BLOBS3_CFG, "3")):
+    for command, name, text, seed in (
+            ("sweep", "sweep", SWEEP_CFG, "9"), ("sweep", "noise_sweep", NOISE_SWEEP_CFG, "41"),
+            ("sweep", "blobs3_sweep", BLOBS3_CFG, "3"), ("ablate", "ablate", ABLATE_CFG, "5")):
         cfg = os.path.join(tmp, f"{name}.cfg")
         with open(cfg, "w") as fh:
             fh.write(text)
-        run_cli(["sweep", "--config", cfg, "--out", os.path.join(tmp, name), "--seed", seed])
+        run_cli([command, "--config", cfg, "--out", os.path.join(tmp, name), "--seed", seed])
         emit_dir(name, os.path.join(tmp, name))
 
 

@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import TabularDataset
+from .data import TabularDataset, check_unique
 from .losses import LossSpec, grad_hess, loss_value, make_phat, sigmoid
 from .tree import NUMBER, ModelFormatError, Tree, TreeConfig, grow_tree, require_fields
 
@@ -239,6 +239,7 @@ def deserialize(text: str) -> BoosterModel:
             f"unsupported model version {doc.get('version')!r}, "
             f"expected {MODEL_FORMAT_VERSION}")
     require_fields(doc, MODEL_FIELDS, "the model document")
+    check_unique(doc["feature_names"], ModelFormatError, "the model document repeats feature name")
     require_fields(doc["booster"], BOOSTER_KEYS, "the model's booster record")
     for key, cls in (("loss", LossSpec), ("tree_config", TreeConfig)):
         # every field of the dataclass, typed as its default (a float field takes any number)

@@ -66,13 +66,6 @@ def non_negative_int(text):
     return value
 
 
-def positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise ValueError(f"must be >= 1, got {value}")
-    return value
-
-
 def _list(conv):
     return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
 
@@ -125,7 +118,7 @@ CONFIG_KEYS = {key: (parse, readers) for keys, parse, readers in _TABLE
                for key in keys.split()}
 
 
-def build_config(command, cfg, seed=0, threads=1) -> dict:
+def build_config(command, cfg, seed=0) -> dict:
     """Check and parse ``cfg`` (key -> text) for ``command`` and construct
     its configuration: ``data`` (loader keywords) for every subcommand, plus
     ``booster`` for train and ``experiment`` for sweep and ablate. Every
@@ -155,7 +148,7 @@ def build_config(command, cfg, seed=0, threads=1) -> dict:
             specs = {name: default_method(name, **groups["method"]) for name in (*names, "rfl")}
             out["experiment"] = ExperimentConfig(
                 **groups["data"], **groups["experiment"], tree=TreeConfig(**groups["tree"]),
-                method_specs=specs, master_seed=seed, threads=threads)
+                method_specs=specs, master_seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return out
@@ -206,7 +199,7 @@ def cmd_predict(args) -> int:
 
 def cmd_sweep(args) -> int:
     """``sweep`` and ``ablate``: one key set, two experiment drivers."""
-    config = build_config(args.command, parse_config_file(args.config), args.seed, args.threads)
+    config = build_config(args.command, parse_config_file(args.config), args.seed)
     run = run_ablation if args.command == "ablate" else run_sweep
     rows = run(config["experiment"], args.out)
     print(f"{args.command} done: {len(rows)} result rows in {args.out}/results.csv")
@@ -261,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text)
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=non_negative_int, default=0, help="master seed")
-        p.add_argument("--threads", type=positive_int, default=1)
         p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="rank tables from a sweep results.csv")

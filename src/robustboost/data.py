@@ -61,6 +61,15 @@ class TabularDataset:
         )
 
 
+def check_unique(names, error, what):
+    """Raise ``error`` naming the first of ``names`` that equals an earlier one."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise error(f"{what} {name!r}")
+        seen.add(name)
+
+
 def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
     """Build a dataset from a dense (n, m) feature matrix, NaN marking a
     missing cell, and labels."""
@@ -76,8 +85,9 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
         labels = y.astype(np.int64)
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(X.shape[1])]
-    return TabularDataset(np.ascontiguousarray(X.T), labels, list(feature_names),
-                          list(class_names))
+    feature_names = list(feature_names)
+    check_unique(feature_names, ValueError, "repeated feature name")
+    return TabularDataset(np.ascontiguousarray(X.T), labels, feature_names, list(class_names))
 
 
 def load_csv(path, label_column) -> TabularDataset:
@@ -91,6 +101,7 @@ def load_csv(path, label_column) -> TabularDataset:
             header = next(reader)
         except StopIteration:
             raise CsvParseError(f"{path}: empty file")
+        check_unique(header, CsvParseError, f"{path}: repeated header")
         if label_column not in header:
             raise CsvParseError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)

@@ -16,14 +16,13 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import synthetic
 from .booster import BoosterConfig, fit, predict_proba
-from .data import SplitError, TabularDataset, load_csv, train_test_split
+from .data import SplitError, TabularDataset, check_unique, load_csv, train_test_split
 from .losses import LossSpec
 from .metrics import accuracy, aucpr
 from .noise import Flip, NoiseSpec, inject_binary, inject_multiclass, write_flip_log
@@ -112,13 +111,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.noise_levels or not self.methods:
             raise ValueError("noise_levels and methods must not be empty")
+        for name in ("noise_levels", "methods"):
+            check_unique(getattr(self, name), ValueError, f"{name} repeats")
         for g in self.noise_levels:
             if not 0.0 <= g < 0.5:
                 raise ValueError(f"noise level {g} outside [0, 0.5)")
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        # a field only so threads=1 constructs: sweeps run serially, so refuse any other count
+        if self.threads != 1:
+            raise ValueError(f"threads must be 1 (sweeps run serially), got {self.threads}")
         if not (0.0 < self.fraction < 1.0 and 0.0 < self.tune_fraction < 1.0):
             raise ValueError("fraction and tune_fraction must be in (0, 1)")
 
@@ -207,8 +209,10 @@ class SweepRow:
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
               dataset: TabularDataset = None, dataset_name: str = None):
-    """Full noise sweep. Writes results.csv, summary.csv and per-cell flip
-    logs (with dataset-global sample indices) into ``out_dir``.
+    """Full noise sweep, run serially. Per repeat, one train/test split; per
+    noise level, one noise draw and its flip log (with dataset-global sample
+    indices); per method, one tuned fit scored on the test rows. Writes the
+    flip logs, then results.csv and summary.csv, into ``out_dir``.
     """
     os.makedirs(out_dir, exist_ok=True)
     if dataset is None:
@@ -219,59 +223,36 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
         methods = [cfg.resolve_method(m) for m in cfg.methods]
     n_classes = dataset.n_classes
 
-    cells = [
-        (gi, gamma, rep, mi, method)
-        for gi, gamma in enumerate(cfg.noise_levels)
-        for rep in range(cfg.repeats)
-        for mi, method in enumerate(methods)
-    ]
-
-    flip_logs = {}
-
-    def run_cell(cell):
-        gi, gamma, rep, mi, method = cell
+    results = []
+    for rep in range(cfg.repeats):
         plan = train_test_split(dataset, cfg.fraction,
                                 seed=derive_seed(cfg.master_seed, TAG_SPLIT, rep),
                                 stratified=cfg.stratified)
-        train = dataset.subset(plan.train_indices)
-        noisy, log = _inject(train.labels, n_classes, gamma,
-                             derive_seed(cfg.master_seed, TAG_NOISE, gi, rep))
-        global_log = [Flip(int(plan.train_indices[f.index]), f.old_label, f.new_label)
-                      for f in log]
-        train = train.with_labels(noisy)
-        model, used_cfg = fit_tuned(
-            train, method, cfg.tree, n_classes, cfg.tune_fraction,
-            tune_seed=derive_seed(cfg.master_seed, TAG_TUNE, gi, rep, mi),
-            model_seed=derive_seed(cfg.master_seed, TAG_MODEL, gi, rep, mi))
-        test = dataset.subset(plan.test_indices)
-        metric_name, value = task_metric(predict_proba(model, test), test)
-        params = (f"family={used_cfg.loss.family};r={used_cfg.loss.r};"
-                  f"q={used_cfg.loss.q};lr={used_cfg.learning_rate};"
-                  f"rounds={used_cfg.n_rounds}")
-        row = SweepRow(dataset_name, method.name, gamma, rep, metric_name,
-                       value, params)
-        return cell, row, global_log, set(plan.test_indices.tolist())
-
-    results = []
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            outputs = list(ex.map(run_cell, cells))
-    else:
-        outputs = [run_cell(c) for c in cells]
-
-    for (gi, gamma, rep, mi, method), row, global_log, test_idx in outputs:
-        results.append(row)
-        key = (gi, rep)
-        if key not in flip_logs:
-            flip_logs[key] = (gamma, rep, global_log, test_idx)
+        train, test = dataset.subset(plan.train_indices), dataset.subset(plan.test_indices)
+        test_idx = set(plan.test_indices.tolist())
+        for gi, gamma in enumerate(cfg.noise_levels):
+            noisy, log = _inject(train.labels, n_classes, gamma,
+                                 derive_seed(cfg.master_seed, TAG_NOISE, gi, rep))
+            log = [Flip(int(plan.train_indices[f.index]), f.old_label, f.new_label)
+                   for f in log]
+            if {f.index for f in log} & test_idx:
+                raise AssertionError("noise was applied to test indices")
+            write_flip_log(log, os.path.join(out_dir, f"fliplog_g{gi}_r{rep}.csv"))
+            noisy_train = train.with_labels(noisy)
+            for mi, method in enumerate(methods):
+                model, used = fit_tuned(
+                    noisy_train, method, cfg.tree, n_classes, cfg.tune_fraction,
+                    tune_seed=derive_seed(cfg.master_seed, TAG_TUNE, gi, rep, mi),
+                    model_seed=derive_seed(cfg.master_seed, TAG_MODEL, gi, rep, mi))
+                metric_name, value = task_metric(predict_proba(model, test), test)
+                params = (f"family={used.loss.family};r={used.loss.r};q={used.loss.q};"
+                          f"lr={used.learning_rate};rounds={used.n_rounds}")
+                results.append(SweepRow(dataset_name, method.name, gamma, rep,
+                                        metric_name, value, params))
 
     results.sort(key=lambda r: (r.dataset, r.method, r.gamma, r.repeat))
     _write_results(results, os.path.join(out_dir, "results.csv"))
     _write_summary(results, os.path.join(out_dir, "summary.csv"))
-    for (gi, rep), (gamma, _, log, test_idx) in sorted(flip_logs.items()):
-        write_flip_log(log, os.path.join(out_dir, f"fliplog_g{gi}_r{rep}.csv"))
-        if {f.index for f in log} & test_idx:
-            raise AssertionError("noise was applied to test indices")
     return results
 
 

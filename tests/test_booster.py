@@ -236,6 +236,8 @@ class TestSerialization:
          "booster record has early_stopping_rounds 2.5"),
         (2, lambda d: d.update(feature_names=5), "the model document has feature_names 5"),
         (3, lambda d: d["trees"].__setitem__(1, {}), "trees are not lists of tree records"),
+        # align would read one data column for both of the model's features
+        (2, lambda d: d.update(feature_names=["f0", "f0"]), "repeats feature name 'f0'"),
     ])
     def test_invalid_document_rejected(self, n_classes, mutate, named):
         model, _ = self.model_and_data(n_classes)

@@ -234,6 +234,8 @@ class TestExitCodes:
         ("train", "max_depth = 0", "max_depth"),
         ("sweep", "noise_levels = 0.7", "noise level 0.7"),
         ("ablate", "fraction = 1.5", "fraction"),
+        ("sweep", "methods = rfl,cce,rfl", "methods repeats 'rfl'"),
+        ("ablate", "noise_levels = 0.2,0.0,0.2", "noise_levels repeats 0.2"),
     ])
     def test_configuration_errors_exit_2(self, tmp_path, capsys, command, line, named):
         text = TRAIN_CFG if command == "train" else SWEEP_CFG
@@ -277,8 +279,9 @@ class TestExitCodes:
         assert build_config("predict", {"synthetic_seed": "0"})["data"]["synthetic_seed"] == 0
 
     @pytest.mark.parametrize("command", ["sweep", "ablate"])
-    @pytest.mark.parametrize("threads", ["0", "-1"])
+    @pytest.mark.parametrize("threads", ["0", "-1", "1", "2"])
     def test_non_positive_threads_flag_exits_2(self, tmp_path, capsys, command, threads):
+        # sweeps run serially and take no --threads flag, whatever its value
         cfg = write_config(tmp_path, SWEEP_CFG)
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", threads])

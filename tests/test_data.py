@@ -39,6 +39,13 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="target"):
             load_csv(path, label_column="target")
 
+    @pytest.mark.parametrize("header,named", [("x,x,label", "'x'"), ("label,a,label", "'label'")])
+    def test_repeated_header_rejected(self, tmp_path, header, named):
+        # a repeated name would make align match both model columns to the first one
+        path = write(tmp_path, f"{header}\n1,2,3\n4,5,6\n")
+        with pytest.raises(CsvParseError, match=f"repeated header {named}"):
+            load_csv(path, label_column="label")
+
     def test_bad_cell_names_location(self, tmp_path):
         # NaN marks a missing cell, so a present cell must be a finite number
         for cell in ("oops", "nan", "inf", "-Infinity"):
@@ -76,6 +83,10 @@ class TestLoadCsv:
         aligned = align(model, shuffled)
         assert aligned.columns.flags["C_CONTIGUOUS"]
         assert aligned.columns.tobytes() == ds.columns.tobytes()
+
+    def test_from_arrays_rejects_repeated_feature_names(self):
+        with pytest.raises(ValueError, match="repeated feature name 'a'"):
+            from_arrays(np.zeros((2, 3)), np.array([0, 1]), feature_names=["a", "b", "a"])
 
     @pytest.mark.parametrize("cell", [np.inf, -np.inf])
     def test_from_arrays_rejects_infinite_cells(self, cell):

@@ -1,3 +1,5 @@
+import os
+import re
 import weakref
 
 import numpy as np
@@ -9,7 +11,7 @@ from robustboost import experiment, synthetic
 from robustboost.booster import BoosterConfig, fit, predict_proba, serialize
 from robustboost.data import SplitError, from_arrays, train_test_split
 from robustboost.experiment import (ExperimentConfig, MethodSpec, default_method, fit_tuned,
-                                   task_metric)
+                                   run_sweep, task_metric)
 from robustboost.tree import TreeConfig
 
 TUNED_CCE = MethodSpec(name="cce", family="cce", grid_lr=(0.1, 0.3), grid_rounds=(3,))
@@ -59,10 +61,21 @@ def test_default_method_overrides_reach_only_used_grids():
     assert cce.grid_lr == rfl.grid_lr == (0.2,) and cce.sce_alpha == rfl.sce_alpha == 5.0
 
 
-@pytest.mark.parametrize("threads", [0, -1])
+@pytest.mark.parametrize("threads", [0, -1, 2])
 def test_experiment_config_rejects_non_positive_threads(threads):
+    # sweeps run serially: threads=1 is the only count accepted
     with pytest.raises(ValueError, match="threads"):
         ExperimentConfig(threads=threads)
+    assert ExperimentConfig(threads=1).threads == 1
+
+
+@pytest.mark.parametrize("fields,named", [
+    (dict(noise_levels=(0.0, 0.2, 0.0)), "noise_levels repeats 0.0"),
+    (dict(methods=("rfl", "cce", "rfl")), "methods repeats 'rfl'"),
+])
+def test_experiment_config_rejects_repeated_values(fields, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ExperimentConfig(**fields)
 
 
 @pytest.mark.parametrize("fields", [dict(grid_lr=()), dict(grid_lr=(1.5,)),
@@ -164,3 +177,105 @@ def test_one_tuning_fit_per_loss_and_learning_rate(monkeypatch):
     assert [rounds for _, rounds in calls] == [8, 8, cfg.n_rounds]
     assert calls[0][0] < train.n_samples and calls[2][0] == train.n_samples
     assert len(model.trees[0]) == cfg.n_rounds
+
+
+def per_cell_run_sweep(cfg, out_dir, dataset, dataset_name):
+    """run_sweep as one split and one noise draw per (level, repeat, method)
+    cell, keeping the first cell's flip log: the reference for the serial
+    loop nest."""
+    methods = [cfg.resolve_method(m) for m in cfg.methods]
+    n_classes = dataset.n_classes
+    seed = lambda *key: experiment.derive_seed(cfg.master_seed, *key)  # noqa: E731
+    results, flip_logs = [], {}
+    for gi, gamma in enumerate(cfg.noise_levels):
+        for rep in range(cfg.repeats):
+            for mi, method in enumerate(methods):
+                plan = train_test_split(dataset, cfg.fraction, seed=seed(experiment.TAG_SPLIT, rep),
+                                        stratified=cfg.stratified)
+                train = dataset.subset(plan.train_indices)
+                noisy, log = experiment._inject(train.labels, n_classes, gamma,
+                                                seed(experiment.TAG_NOISE, gi, rep))
+                global_log = [experiment.Flip(int(plan.train_indices[f.index]), f.old_label,
+                                              f.new_label) for f in log]
+                model, used = fit_tuned(
+                    train.with_labels(noisy), method, cfg.tree, n_classes, cfg.tune_fraction,
+                    tune_seed=seed(experiment.TAG_TUNE, gi, rep, mi),
+                    model_seed=seed(experiment.TAG_MODEL, gi, rep, mi))
+                test = dataset.subset(plan.test_indices)
+                metric_name, value = task_metric(predict_proba(model, test), test)
+                params = (f"family={used.loss.family};r={used.loss.r};q={used.loss.q};"
+                          f"lr={used.learning_rate};rounds={used.n_rounds}")
+                results.append(experiment.SweepRow(dataset_name, method.name, gamma, rep,
+                                                   metric_name, value, params))
+                flip_logs.setdefault((gi, rep), (global_log, set(plan.test_indices.tolist())))
+    results.sort(key=lambda r: (r.dataset, r.method, r.gamma, r.repeat))
+    experiment._write_results(results, os.path.join(out_dir, "results.csv"))
+    experiment._write_summary(results, os.path.join(out_dir, "summary.csv"))
+    for (gi, rep), (log, test_idx) in sorted(flip_logs.items()):
+        experiment.write_flip_log(log, os.path.join(out_dir, f"fliplog_g{gi}_r{rep}.csv"))
+        assert not {f.index for f in log} & test_idx
+    return results
+
+
+def sweep_dataset(n_classes, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(60, 3))
+    y = (X[:, 0] + rng.normal(scale=0.7, size=60) > 0.8).astype(int) + (
+        X[:, 1] > 0.5 if n_classes == 3 else 0)
+    X[rng.random(X.shape) < 0.05] = np.nan
+    return from_arrays(X, y, class_names=[f"c{k}" for k in range(n_classes)])
+
+
+def sweep_config(noise_levels, repeats, master_seed=0):
+    specs = {"rfl": MethodSpec(name="rfl", family="rfl", grid_r=(0.5, 2.0), grid_q=(0.5,),
+                               grid_lr=(0.3,), grid_rounds=(2, 3)),
+             "cce": MethodSpec(name="cce", family="cce", grid_lr=(0.3,), grid_rounds=(3,))}
+    return ExperimentConfig(noise_levels=noise_levels, repeats=repeats, methods=("rfl", "cce"),
+                            method_specs=specs, tree=TreeConfig(max_leaves=4),
+                            master_seed=master_seed)
+
+
+def read_dir(path):
+    return {p.name: p.read_bytes() for p in path.iterdir()}
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       noisy_levels=st.lists(st.sampled_from([0.1, 0.2, 0.3, 0.4]), max_size=2, unique=True),
+       zero_at=st.integers(0, 2), repeats=st.integers(1, 2))
+def test_serial_sweep_writes_the_per_cell_files(tmp_path_factory, n_classes, seed, noisy_levels,
+                                                zero_at, repeats):
+    levels = list(noisy_levels)
+    levels.insert(zero_at, 0.0)
+    cfg = sweep_config(tuple(levels), repeats, master_seed=seed)
+    data = sweep_dataset(n_classes, seed)
+    out, ref = tmp_path_factory.mktemp("sweep"), tmp_path_factory.mktemp("ref")
+    rows = run_sweep(cfg, str(out), dataset=data, dataset_name="d")
+    ref_rows = per_cell_run_sweep(cfg, str(ref), data, "d")
+    assert rows == ref_rows
+    files = read_dir(out)
+    assert len(files) == 2 + len(levels) * repeats
+    assert files == read_dir(ref)
+
+
+def test_sweep_splits_once_per_repeat_and_draws_noise_once_per_level(monkeypatch, tmp_path):
+    data = sweep_dataset(2, seed=0)
+    splits, draws = [], []
+    real_split, real_inject = experiment.train_test_split, experiment._inject
+
+    def split(dataset, fraction, seed, stratified=True):
+        if dataset is data:  # not fit_tuned's split of the training rows
+            splits.append(seed)
+        return real_split(dataset, fraction, seed=seed, stratified=stratified)
+
+    def inject(labels, n_classes, rate, seed):
+        draws.append(seed)
+        return real_inject(labels, n_classes, rate, seed)
+
+    monkeypatch.setattr(experiment, "train_test_split", split)
+    monkeypatch.setattr(experiment, "_inject", inject)
+    rows = run_sweep(sweep_config((0.0, 0.2), repeats=2), str(tmp_path), dataset=data,
+                     dataset_name="d")
+    assert len(rows) == 8
+    assert len(splits) == len(set(splits)) == 2
+    assert len(draws) == len(set(draws)) == 4
