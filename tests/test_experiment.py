@@ -220,8 +220,9 @@ def per_cell_run_sweep(cfg, out_dir, dataset, dataset_name):
 def sweep_dataset(n_classes, seed):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(60, 3))
-    y = (X[:, 0] + rng.normal(scale=0.7, size=60) > 0.8).astype(int) + (
-        X[:, 1] > 0.5 if n_classes == 3 else 0)
+    score = X[:, 0] + rng.normal(scale=0.7, size=60) + (X[:, 1] if n_classes == 3 else 0)
+    # quantile cuts: imbalanced, but every class keeps enough rows to stratify
+    y = np.searchsorted(np.quantile(score, [0.7] if n_classes == 2 else [0.55, 0.85]), score)
     X[rng.random(X.shape) < 0.05] = np.nan
     return from_arrays(X, y, class_names=[f"c{k}" for k in range(n_classes)])
 
