@@ -13,7 +13,8 @@ import numpy as np
 
 from .data import TabularDataset, check_unique
 from .losses import LossSpec, grad_hess, loss_value, make_phat, sigmoid
-from .tree import NUMBER, ModelFormatError, Tree, TreeConfig, grow_tree, require_fields
+from .tree import (NUMBER, ModelFormatError, Tree, TreeConfig, grow_tree, presort,
+                   require_fields)
 
 MODEL_FORMAT_VERSION = 2
 # the BoosterConfig fields that model.json stores under "booster", with their JSON types
@@ -126,6 +127,7 @@ def fit(data: TabularDataset, config: BoosterConfig,
         valid_targets = column_targets(np.asarray(valid.labels))
         z_valid = np.zeros((valid.n_samples, len(targets)))
 
+    order = presort(data.columns, np.arange(n))  # every tree filters this one sort
     best_score = np.inf
     best_round = None
     for t in range(config.n_rounds):
@@ -135,7 +137,7 @@ def fit(data: TabularDataset, config: BoosterConfig,
             g, h = grad_hess(config.loss, yk, z[:, k])
             if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
                 raise AssertionError("non-finite gradient/Hessian from the loss layer")
-            new_trees.append(grow_tree(data.columns, rows, g, h, config.tree))
+            new_trees.append(grow_tree(data.columns, order, rows, g, h, config.tree))
         for k, tree in enumerate(new_trees):
             model.trees[k].append(tree)
             z[:, k] = z[:, k] + config.learning_rate * tree.predict(data.columns)
@@ -240,6 +242,7 @@ def deserialize(text: str) -> BoosterModel:
             f"expected {MODEL_FORMAT_VERSION}")
     require_fields(doc, MODEL_FIELDS, "the model document")
     check_unique(doc["feature_names"], ModelFormatError, "the model document repeats feature name")
+    check_unique(doc["class_names"], ModelFormatError, "the model document repeats class name")
     require_fields(doc["booster"], BOOSTER_KEYS, "the model's booster record")
     for key, cls in (("loss", LossSpec), ("tree_config", TreeConfig)):
         # every field of the dataclass, typed as its default (a float field takes any number)

@@ -188,8 +188,8 @@ def cmd_predict(args) -> int:
     with open(os.path.join(args.out, "predictions.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index"] + [f"proba_{k}" for k in range(proba.shape[1])] + ["label"])
-        for i in range(proba.shape[0]):
-            writer.writerow([i] + [repr(float(v)) for v in proba[i]] + [tokens[i]])
+        # csv writes a float with str, which is repr
+        writer.writerows(zip(range(proba.shape[0]), *proba.T.tolist(), tokens))
     metric, value = task_metric(proba, data)
     with open(os.path.join(args.out, "predict_report.json"), "w", encoding="utf-8") as fh:
         json.dump({"metric": metric, "value": value}, fh, indent=1)

@@ -82,6 +82,7 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
         mapping = {c: i for i, c in enumerate(sorted(set(y.tolist())))}
         labels = np.array([mapping[v] for v in y.tolist()], dtype=np.int64)
     else:
+        check_unique(class_names, ValueError, "repeated class name")
         labels = y.astype(np.int64)
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(X.shape[1])]

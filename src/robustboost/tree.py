@@ -5,8 +5,10 @@ Exact greedy split search over midpoint thresholds, Newton leaf weights
 for missing values. Growth is best-first up to a leaf cap with a depth
 backstop.
 
-Split search sorts once per tree (``presort``); each split filters every
-feature's sorted row list in order, and a scan scores each threshold with the
+Split search sorts once per fit (``presort`` of every row). A tree's root
+filters that sort to the tree's rows, a subset in a subsampled round, and
+each split filters its node's sort into the two children; filtered in order,
+every feature's row list stays sorted. A scan scores each threshold with the
 NaN suffix sent right, then left, in one vector. Gain ties go to the lowest
 feature, then missing right, then the lowest threshold.
 """
@@ -177,6 +179,18 @@ def presort(columns, rows):
     return rows[columns.take(rows, axis=1).argsort(axis=1, kind="stable")].T
 
 
+def partition_sorted(order, keep, n_kept):
+    """Split the presort matrix ``order`` into the ``n_kept`` rows for which
+    ``keep`` (indexed by row id) holds and the rest, each a presort matrix:
+    every feature's list, filtered in order, stays sorted."""
+    by_feature = order.T
+    kept = keep[by_feature]
+    n_features, n = by_feature.shape
+    # explicit row counts: with no features, -1 cannot be resolved
+    return (by_feature[kept].reshape(n_features, n_kept).T,
+            by_feature[~kept].reshape(n_features, n - n_kept).T)
+
+
 def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
     """Best split of one node on feature ``f``, whose values ``vals`` ascend
     with NaN (missing) last; ``g`` and ``h`` follow their order."""
@@ -243,9 +257,11 @@ def _safe_weight(sum_g, sum_h, lam):
         return 0.0
 
 
-def grow_tree(columns, rows, g, h, config: TreeConfig) -> Tree:
-    """Best-first growth: repeatedly expand the frontier leaf with the
-    highest split gain until no leaf admits a split or the leaf cap binds.
+def grow_tree(columns, order, rows, g, h, config: TreeConfig) -> Tree:
+    """Best-first growth on the distinct, ascending row ids ``rows``:
+    repeatedly expand the frontier leaf with the highest split gain until no
+    leaf admits a split or the leaf cap binds. ``order`` is the fit's
+    ``presort(columns, np.arange(n))``, filtered here to ``rows``.
     """
     rows = np.asarray(rows)
     tree = Tree()
@@ -257,7 +273,7 @@ def grow_tree(columns, rows, g, h, config: TreeConfig) -> Tree:
     counter = itertools.count()  # heap tiebreak: earlier-pushed candidate wins
     heap = []
     n_leaves = 1
-    goes_left = np.empty(columns.shape[1], dtype=bool)  # indexed by row id
+    side = np.zeros(columns.shape[1], dtype=bool)  # indexed by row id: the rows a filter keeps
 
     def push(node, node_rows, depth):
         # a node can be expanded only while the leaf cap leaves room
@@ -269,11 +285,12 @@ def grow_tree(columns, rows, g, h, config: TreeConfig) -> Tree:
         if cand is not None:
             heapq.heappush(heap, (-cand.gain, next(counter), node, node_rows, depth, cand))
 
-    push(0, presort(columns, rows), 0)
+    side[rows] = True
+    push(0, partition_sorted(order, side, rows.size)[0], 0)
     while heap and n_leaves < config.max_leaves:
         _, _, node, node_rows, depth, cand = heapq.heappop(heap)
         ids = node_rows[:, cand.feature]
-        goes_left[ids] = route_left(columns[cand.feature][ids], cand.default_left, cand.threshold)
+        side[ids] = route_left(columns[cand.feature][ids], cand.default_left, cand.threshold)
 
         tree.feature[node] = cand.feature
         tree.threshold[node] = cand.threshold
@@ -282,11 +299,9 @@ def grow_tree(columns, rows, g, h, config: TreeConfig) -> Tree:
         tree.right[node] = tree.add_leaf(_safe_weight(cand.g_right, cand.h_right, config.lam))
         n_leaves += 1
 
-        # each feature's list, filtered in order, stays sorted
-        by_feature = node_rows.T
-        left = goes_left[by_feature]
-        push(tree.left[node], by_feature[left].reshape(len(columns), -1).T, depth + 1)
-        push(tree.right[node], by_feature[~left].reshape(len(columns), -1).T, depth + 1)
+        left, right = partition_sorted(node_rows, side, cand.n_left)
+        push(tree.left[node], left, depth + 1)
+        push(tree.right[node], right, depth + 1)
     return tree
 
 

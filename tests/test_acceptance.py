@@ -21,7 +21,7 @@ from robustboost.losses import (LossSpec, check_necessary_condition, grad_hess,
                                 loss_d1_d2, loss_value, make_phat, sigmoid)
 from robustboost.metrics import aucpr
 from robustboost.noise import NoiseSpec, inject_binary, inject_multiclass
-from robustboost.tree import GainScenario, TreeConfig, decomposed_gain, grow_tree
+from robustboost.tree import GainScenario, TreeConfig, decomposed_gain, grow_tree, presort
 
 from test_metrics import brute_force_aucpr
 from test_tree import brute_force_best
@@ -169,7 +169,8 @@ def test_criterion_04_split_oracle():
         miss = [rng.random(n) < 0.15 for _ in range(m)]
         g = rng.normal(size=n)
         h = rng.uniform(0.1, 2.0, size=n)
-        tree = grow_tree(np.where(miss, np.nan, cols), np.arange(n), g, h, cfg)
+        columns = np.where(miss, np.nan, cols)
+        tree = grow_tree(columns, presort(columns, np.arange(n)), np.arange(n), g, h, cfg)
         expected = brute_force_best(cols, miss, g, h, cfg)
         feature, threshold, default_left = tree.feature[0], tree.threshold[0], tree.default_left[0]
         if expected is None:

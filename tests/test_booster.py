@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustboost import booster as booster_module
 from robustboost import synthetic
+from robustboost import tree as tree_module
 from robustboost.booster import (MODEL_FORMAT_VERSION, BoosterConfig, BoosterConfigError,
                                  DataError, ModelFormatError, SchemaMismatchError,
                                  align, deserialize, fit, predict_label,
@@ -16,7 +18,7 @@ from robustboost.booster import (MODEL_FORMAT_VERSION, BoosterConfig, BoosterCon
 from robustboost.data import from_arrays
 from robustboost.losses import FAMILIES, LossSpec
 from robustboost.metrics import accuracy, aucpr
-from robustboost.tree import TREE_FIELDS, TreeConfig
+from robustboost.tree import TREE_FIELDS, TreeConfig, grow_tree, presort
 
 CCE = LossSpec("cce")
 
@@ -238,6 +240,8 @@ class TestSerialization:
         (3, lambda d: d["trees"].__setitem__(1, {}), "trees are not lists of tree records"),
         # align would read one data column for both of the model's features
         (2, lambda d: d.update(feature_names=["f0", "f0"]), "repeats feature name 'f0'"),
+        # align would encode both labels through the first "0"
+        (2, lambda d: d.update(class_names=["0", "0"]), "repeats class name '0'"),
     ])
     def test_invalid_document_rejected(self, n_classes, mutate, named):
         model, _ = self.model_and_data(n_classes)
@@ -338,3 +342,68 @@ def test_shorter_fit_is_a_prefix_of_a_longer_one(n_classes, seed, rounds, subsam
         [[t.to_dict() for t in lst[:k]] for lst in long.trees]
     cut = replace(long, trees=[lst[:k] for lst in long.trees])
     assert predict_raw(short, data).tobytes() == predict_raw(cut, data).tobytes()
+
+
+def grow_on_its_own_sort(columns, order, rows, g, h, config):
+    """grow_tree on the tree's rows alone, sorted for this tree: the per-tree
+    sort that fit's one sort replaces, as the reference it must match."""
+    sub = columns.take(rows, axis=1)
+    ids = np.arange(len(rows))
+    return grow_tree(sub, presort(sub, ids), ids, g[rows], h[rows], config)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       missing_rate=st.floats(0.0, 0.4), subsample=st.sampled_from([1.0, 0.7]),
+       early_stopping_rounds=st.sampled_from([None, 2]))
+def test_one_sort_per_fit_matches_a_sort_per_tree(n_classes, seed, missing_rate, subsample,
+                                                  early_stopping_rounds):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(90, 3)), 1)  # repeated values: ties follow row ids
+    X[rng.random(X.shape) < missing_rate] = np.nan
+    y = rng.integers(0, n_classes, size=90)
+    y[:n_classes] = np.arange(n_classes)
+    names = [str(k) for k in range(n_classes)]
+    train = from_arrays(X[:60], y[:60], class_names=names)
+    valid = from_arrays(X[60:], y[60:], class_names=names)
+    cfg = BoosterConfig(loss=LossSpec("rfl", r=1.0), tree=tiny_tree(lam=1.0), learning_rate=0.5,
+                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample,
+                        early_stopping_rounds=early_stopping_rounds)
+    model = fit(train, cfg, valid=valid)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(booster_module, "grow_tree", grow_on_its_own_sort)
+        reference = fit(train, cfg, valid=valid)
+    assert serialize(model) == serialize(reference)
+    for data in (train, valid):
+        assert predict_raw(model, data).tobytes() == predict_raw(reference, data).tobytes()
+
+
+@pytest.mark.parametrize("n_rounds,n_classes,subsample", [(1, 2, 1.0), (5, 2, 0.7), (4, 3, 1.0)])
+def test_fit_sorts_once(monkeypatch, n_rounds, n_classes, subsample):
+    calls = []
+    sort = tree_module.presort
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sort(*args, **kwargs)
+
+    monkeypatch.setattr(tree_module, "presort", counted)
+    monkeypatch.setattr(booster_module, "presort", counted)
+    rng = np.random.default_rng(4)
+    data = from_arrays(rng.normal(size=(50, 2)), np.arange(50) % n_classes,
+                       class_names=[str(k) for k in range(n_classes)])
+    fit(data, BoosterConfig(loss=CCE, tree=tiny_tree(lam=1.0), n_rounds=n_rounds,
+                            n_classes=n_classes, subsample=subsample))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("subsample", [1.0, 0.6])
+def test_zero_feature_fit_grows_root_leaves(n_classes, subsample):
+    y = np.arange(12) % n_classes
+    data = from_arrays(np.empty((12, 0)), y, class_names=[str(k) for k in range(n_classes)])
+    model = fit(data, BoosterConfig(loss=CCE, tree=tiny_tree(lam=1.0), n_rounds=3,
+                                    n_classes=n_classes, subsample=subsample))
+    assert all(tree.feature == [-1] for lst in model.trees for tree in lst)
+    raw = predict_raw(model, data)
+    assert np.all(raw == raw[:1])

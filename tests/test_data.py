@@ -88,6 +88,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="repeated feature name 'a'"):
             from_arrays(np.zeros((2, 3)), np.array([0, 1]), feature_names=["a", "b", "a"])
 
+    def test_from_arrays_rejects_repeated_class_names(self):
+        # align would encode every label through the first "pos"
+        with pytest.raises(ValueError, match="repeated class name 'pos'"):
+            from_arrays(np.zeros((3, 1)), np.array([0, 1, 2]), class_names=["pos", "neg", "pos"])
+
     @pytest.mark.parametrize("cell", [np.inf, -np.inf])
     def test_from_arrays_rejects_infinite_cells(self, cell):
         with pytest.raises(ValueError, match="inf"):

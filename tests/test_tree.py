@@ -17,6 +17,11 @@ def columns_from(X):
     return np.ascontiguousarray(np.asarray(X, dtype=float).T)
 
 
+def fit_sort(columns):
+    """The sort that booster.fit hands every tree: ``presort`` of every row."""
+    return presort(columns, np.arange(columns.shape[1]))
+
+
 def brute_force_best(columns, missing, g, h, config):
     """Enumerate every (feature, threshold, missing-direction) split."""
     n = len(g)
@@ -151,7 +156,7 @@ class TestGrowTree:
         g = np.array([-0.5])
         h = np.array([0.25])
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0)
-        tree = grow_tree(cols, np.arange(1), g, h, config)
+        tree = grow_tree(cols, fit_sort(cols), np.arange(1), g, h, config)
         assert len(tree.feature) == 1
         npt.assert_allclose(tree.value[0], 2.0)
 
@@ -161,7 +166,7 @@ class TestGrowTree:
         h = np.ones(4)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1,
                             max_leaves=2)
-        tree = grow_tree(cols, np.arange(4), g, h, config)
+        tree = grow_tree(cols, fit_sort(cols), np.arange(4), g, h, config)
         assert tree.n_leaves == 2
         pred = tree.predict(cols)
         npt.assert_allclose(pred, [1.0, 1.0, -1.0, -1.0])
@@ -173,7 +178,7 @@ class TestGrowTree:
         g = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
         h = np.ones(6)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1)
-        tree = grow_tree(cols, np.arange(6), g, h, config)
+        tree = grow_tree(cols, fit_sort(cols), np.arange(6), g, h, config)
         assert all(f != 0 for f in tree.feature if f != -1)
         assert tree.n_leaves >= 2
 
@@ -185,7 +190,7 @@ class TestGrowTree:
         h = np.ones(100)
         config = TreeConfig(lam=0.1, max_leaves=5, max_depth=20,
                             min_sum_hessian=0.0)
-        tree = grow_tree(cols, np.arange(100), g, h, config)
+        tree = grow_tree(cols, fit_sort(cols), np.arange(100), g, h, config)
         assert tree.n_leaves <= 5
 
     def test_max_depth_cap(self):
@@ -196,7 +201,7 @@ class TestGrowTree:
         h = np.ones(100)
         config = TreeConfig(lam=0.1, max_leaves=1000, max_depth=2,
                             min_sum_hessian=0.0)
-        tree = grow_tree(cols, np.arange(100), g, h, config)
+        tree = grow_tree(cols, fit_sort(cols), np.arange(100), g, h, config)
 
         def depth(node_id, d):
             if tree.feature[node_id] == -1:
@@ -217,7 +222,7 @@ class TestGrowTree:
             h = rng.uniform(0.05, 1.0, size=n)
             cols = columns_from(X)
             expected = brute_force_best(cols, np.isnan(cols), g, h, config)
-            tree = grow_tree(cols, np.arange(n), g, h, config)
+            tree = grow_tree(cols, fit_sort(cols), np.arange(n), g, h, config)
             if expected is None:
                 assert tree.n_leaves == 1
             else:
@@ -252,7 +257,7 @@ class TestGrowTree:
                 k = int(frac * 200)
                 if k:
                     hh[r2.choice(200, k, replace=False)] *= -1
-                tree = grow_tree(cols, np.arange(200), g, hh, config)
+                tree = grow_tree(cols, fit_sort(cols), np.arange(200), g, hh, config)
                 leaves.append(tree.n_leaves)
             medians.append(np.median(leaves))
         assert medians[0] >= medians[1] >= medians[2]
@@ -263,9 +268,22 @@ class TestGrowTree:
         cols = columns_from(X)
         g = rng.normal(size=50)
         h = np.ones(50)
-        tree = grow_tree(cols, np.arange(50), g, h, TreeConfig(lam=0.1))
+        tree = grow_tree(cols, fit_sort(cols), np.arange(50), g, h, TreeConfig(lam=0.1))
         clone = Tree.from_dict(tree.to_dict())
         npt.assert_array_equal(tree.predict(cols), clone.predict(cols))
+
+
+def test_root_sums_follow_row_ids():
+    # the root value's last bits depend on the order of the sum; model files
+    # keep the ascending row-id order, not the order of any feature's sort
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        cols = columns_from(rng.normal(size=(200, 3)))
+        g, h = rng.normal(size=200), rng.uniform(0.1, 1.0, size=200)
+        rows = np.sort(rng.choice(200, 150, replace=False))
+        tree = grow_tree(cols, fit_sort(cols), rows, g, h, TreeConfig(lam=1.0))
+        assert tree.n_leaves > 1
+        assert tree.value[0] == leaf_weight(float(g[rows].sum()), float(h[rows].sum()), 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,7 +301,7 @@ def test_grown_tree_structure(seed, n, m, missing_rate, negated, max_depth, max_
     h = rng.uniform(0.1, 1.0, size=n) * np.where(rng.random(n) < negated, -1.0, 1.0)
     config = TreeConfig(lam=lam, min_sum_hessian=0.0, max_depth=max_depth,
                         max_leaves=max_leaves, min_samples_leaf=min_samples_leaf)
-    tree = grow_tree(cols, np.arange(n), g, h, config)
+    tree = grow_tree(cols, fit_sort(cols), np.arange(n), g, h, config)
 
     n_nodes = len(tree.feature)
     assert all(len(getattr(tree, c)) == n_nodes for c in TREE_FIELDS)
@@ -317,7 +335,7 @@ def test_no_split_search_past_the_leaf_cap(monkeypatch):
     for max_leaves, searches in ((1, 0), (2, 1)):
         calls.clear()
         config = TreeConfig(lam=0.1, min_sum_hessian=0.0, max_leaves=max_leaves)
-        tree = grow_tree(cols, np.arange(100), g, h, config)
+        tree = grow_tree(cols, fit_sort(cols), np.arange(100), g, h, config)
         assert tree.n_leaves == max_leaves
         assert len(calls) == searches
 
@@ -338,7 +356,7 @@ def test_leaf_values_match_the_rows_routed_to_them(data, n, m, max_leaves, lam):
     h = np.array(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 4.0
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
     config = TreeConfig(lam=lam, min_sum_hessian=0.0, max_leaves=max_leaves)
-    tree = grow_tree(cols, rows, g, h, config)
+    tree = grow_tree(cols, fit_sort(cols), rows, g, h, config)
 
     node_ids = Tree(**{**tree.to_dict(), "value": list(range(len(tree.value)))})
     leaf_of = node_ids.predict(cols[:, rows])
@@ -367,8 +385,8 @@ def test_split_search_reads_each_node_presorted(data, n, m, max_leaves):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "best_split", recorded)
-        grow_tree(cols, rows, g, h, TreeConfig(lam=1.0, min_sum_hessian=0.0,
-                                               max_leaves=max_leaves))
+        grow_tree(cols, fit_sort(cols), rows, g, h,
+                  TreeConfig(lam=1.0, min_sum_hessian=0.0, max_leaves=max_leaves))
     if rows.size >= 2:
         npt.assert_array_equal(seen[0], presort(cols, rows))
     for node_rows in seen:
