@@ -8,6 +8,8 @@ bitwise unchanged, so two commits can be compared with ``diff``:
   of two sweeps whose grids hold several ``grid_rounds`` values (the staged
   tuning path of ``experiment.fit_tuned``) and of a small ``robustboost
   ablate``;
+- the ``ranks.csv`` of ``robustboost report`` on the criterion-12 sweep's
+  and on the ablation's ``results.csv``;
 - ``predict_raw`` (train and validation), ``serialize()``, the loss
   histories and ``best_round`` of a fixed set of fits with missing cells,
   row subsampling and early stopping.
@@ -174,6 +176,10 @@ def sweep_digests(tmp):
             fh.write(text)
         run_cli([command, "--config", cfg, "--out", os.path.join(tmp, name), "--seed", seed])
         emit_dir(name, os.path.join(tmp, name))
+    for name in ("sweep", "ablate"):
+        out = os.path.join(tmp, f"{name}_report")
+        run_cli(["report", "--results", os.path.join(tmp, name, "results.csv"), "--out", out])
+        emit_dir(f"{name}_report", out)
 
 
 def fit_digests():

@@ -208,10 +208,6 @@ def predict_proba(model: BoosterModel, data: TabularDataset):
     return s / s.sum(axis=1, keepdims=True)
 
 
-def predict_label(model: BoosterModel, data: TabularDataset):
-    return np.argmax(predict_proba(model, data), axis=1)
-
-
 def serialize(model: BoosterModel) -> str:
     """Versioned JSON document; round-trips raw predictions bitwise."""
     doc = {

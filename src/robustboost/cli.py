@@ -219,7 +219,7 @@ def cmd_report(args) -> int:
         if set(per_method) != set(methods):
             raise ValueError(f"incomplete result cell {key}: {sorted(per_method)}")
         matrix.append([float(np.mean(per_method[m])) for m in methods])
-    table = rank_methods(np.array(matrix), methods, higher_is_better=True)
+    table = rank_methods(np.array(matrix), methods)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "ranks.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -83,6 +83,10 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
         labels = np.array([mapping[v] for v in y.tolist()], dtype=np.int64)
     else:
         check_unique(class_names, ValueError, "repeated class name")
+        valid = np.isin(y, np.arange(len(class_names)))
+        if not valid.all():
+            raise ValueError(f"label {y[~valid].tolist()[0]!r} is not a class id "
+                             f"in [0, {len(class_names)})")
         labels = y.astype(np.int64)
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(X.shape[1])]
@@ -169,9 +173,6 @@ def dump_csv(dataset: TabularDataset, path):
 class SplitPlan:
     train_indices: np.ndarray
     test_indices: np.ndarray
-    fraction: float
-    seed: int
-    stratified: bool
 
 
 def train_test_split(dataset: TabularDataset, fraction: float, seed: int,
@@ -201,13 +202,4 @@ def train_test_split(dataset: TabularDataset, fraction: float, seed: int,
         n_train = int(round(fraction * n))
         train = np.sort(perm[:n_train])
         test = np.sort(perm[n_train:])
-    return SplitPlan(train, test, fraction, seed, stratified)
-
-
-def imbalance_ratio(dataset: TabularDataset) -> float:
-    """Majority-class count divided by minority-class count."""
-    counts = np.bincount(dataset.labels, minlength=dataset.n_classes)
-    counts = counts[counts > 0]
-    if counts.size < 2:
-        raise ValueError("imbalance ratio needs at least 2 classes present")
-    return float(counts.max()) / float(counts.min())
+    return SplitPlan(train, test)

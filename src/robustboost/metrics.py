@@ -56,14 +56,20 @@ class RankTable:
     top_n_counts: np.ndarray  # (n_methods, n_methods): [m, n-1] = #datasets with rank <= n
 
 
-def rank_methods(per_dataset_scores, methods, higher_is_better: bool = True) -> RankTable:
-    """Rank methods on each dataset (1 = best) and aggregate."""
-    from scipy.stats import rankdata  # here, so that importing the package skips scipy
+def rank_methods(per_dataset_scores, methods) -> RankTable:
+    """Rank methods on each dataset (1 = best, higher scores better) and
+    aggregate. A tie shares the average of its ranks:
+    1 + #better + (#equal - 1) / 2, exact in float64."""
     S = np.asarray(per_dataset_scores, dtype=float)
     if S.ndim != 2 or S.shape[1] != len(methods):
         raise MetricError("score matrix must be (n_datasets, n_methods)")
-    signed = -S if higher_is_better else S
-    ranks = np.vstack([rankdata(row, method="average") for row in signed])
+    if not np.isfinite(S).all():
+        i, j = np.argwhere(~np.isfinite(S))[0]
+        raise MetricError(f"non-finite score {float(S[i, j])} for method {methods[j]!r} in row {i}")
+    # [d, j, k]: how method k's score compares with method j's on dataset d
+    better = (S[:, None, :] > S[:, :, None]).sum(axis=2)
+    equal = (S[:, None, :] == S[:, :, None]).sum(axis=2)
+    ranks = 1 + better + (equal - 1) / 2
     m = len(methods)
     top_n = np.empty((m, m), dtype=int)
     for n in range(1, m + 1):

@@ -21,7 +21,6 @@ class NoiseSpec:
     rate: float
     protocol: str = "binary_pairflip"
     seed: int = 0
-    wrap_last_class: bool = True
 
     def __post_init__(self):
         if not 0.0 <= self.rate < 0.5:
@@ -40,8 +39,8 @@ class Flip:
 def inject_binary(labels, spec: NoiseSpec):
     """Flip floor(rate * n_min) labels each way between minority and majority.
 
-    Returns (new_labels, flip_log); replaying the log on the originals
-    reproduces new_labels, and replaying twice restores them.
+    Returns (new_labels, flip_log); the log lists every changed row, in
+    ascending row order per direction, with its old and new label.
     """
     labels = np.asarray(labels)
     classes = np.unique(labels)
@@ -68,52 +67,18 @@ def inject_binary(labels, spec: NoiseSpec):
 
 
 def inject_multiclass(labels, n_classes: int, spec: NoiseSpec):
-    """Each label i independently becomes i+1 with probability rate.
-
-    With wrap_last_class the successor of the last class is class 0;
-    otherwise the last class never flips.
-    """
+    """Each label i independently becomes (i + 1) % n_classes with
+    probability rate."""
     if n_classes < 3:
         raise ValueError("multiclass protocol needs >= 3 classes; use the binary protocol")
     labels = np.asarray(labels)
     rng = np.random.default_rng(spec.seed)
-    draw = rng.random(labels.size) < spec.rate
+    flipped = np.nonzero(rng.random(labels.size) < spec.rate)[0]
+    old = labels[flipped].astype(np.int64)
+    new = (old + 1) % n_classes
     new_labels = labels.copy()
-    log = []
-    for i in np.nonzero(draw)[0]:
-        old = int(labels[i])
-        if old == n_classes - 1 and not spec.wrap_last_class:
-            continue
-        new = (old + 1) % n_classes
-        new_labels[i] = new
-        log.append(Flip(int(i), old, new))
-    return new_labels, log
-
-
-def apply_flip_log(labels, log):
-    """Replay a flip log; each entry swaps the sample to its new label
-    (or back, if the label currently holds the new value).
-    """
-    out = np.asarray(labels).copy()
-    for flip in log:
-        if out[flip.index] == flip.old_label:
-            out[flip.index] = flip.new_label
-        elif out[flip.index] == flip.new_label:
-            out[flip.index] = flip.old_label
-    return out
-
-
-def expected_flip_matrix(n_classes: int, rate: float, wrap: bool = True):
-    """Materialize the pair-flipping transition matrix and its row sums."""
-    P = np.zeros((n_classes, n_classes))
-    for i in range(n_classes):
-        P[i, i] = 1.0 - rate
-        j = (i + 1) % n_classes
-        if i == n_classes - 1 and not wrap:
-            P[i, i] = 1.0 - rate  # successor undefined: row mass 1 - rate
-        else:
-            P[i, j] = rate
-    return P, P.sum(axis=1)
+    new_labels[flipped] = new
+    return new_labels, list(map(Flip, flipped.tolist(), old.tolist(), new.tolist()))
 
 
 def write_flip_log(log, path):
@@ -122,13 +87,3 @@ def write_flip_log(log, path):
         writer.writerow(["sample_index", "old_label", "new_label"])
         for flip in log:
             writer.writerow([flip.index, flip.old_label, flip.new_label])
-
-
-def read_flip_log(path):
-    log = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            log.append(Flip(int(row["sample_index"]), int(row["old_label"]),
-                            int(row["new_label"])))
-    return log

@@ -159,14 +159,6 @@ def leaf_weight(sum_g: float, sum_h: float, lam: float) -> float:
     return -sum_g / denom
 
 
-def leaf_objective(sum_g: float, sum_h: float, lam: float) -> float:
-    """Optimal quadratic objective -0.5 * sum_g**2 / (sum_h + lam)."""
-    denom = sum_h + lam
-    if abs(denom) < DENOM_EPS:
-        raise DegenerateDenominatorError(f"sum_h + lam = {denom}")
-    return -0.5 * sum_g * sum_g / denom
-
-
 def route_left(vals, default_left, threshold):
     """Which of ``vals`` a split sends left: missing (NaN) ones when
     ``default_left``, present ones when ``<= threshold``."""

@@ -13,8 +13,8 @@ from robustboost import synthetic
 from robustboost import tree as tree_module
 from robustboost.booster import (MODEL_FORMAT_VERSION, BoosterConfig, BoosterConfigError,
                                  DataError, ModelFormatError, SchemaMismatchError,
-                                 align, deserialize, fit, predict_label,
-                                 predict_proba, predict_raw, serialize)
+                                 align, deserialize, fit, predict_proba, predict_raw,
+                                 serialize)
 from robustboost.data import from_arrays
 from robustboost.losses import FAMILIES, LossSpec
 from robustboost.metrics import accuracy, aucpr
@@ -92,7 +92,7 @@ class TestFitBasics:
         spec = LossSpec("rfl", r=1.0, q=0.5)
         model = fit(data, BoosterConfig(loss=spec, tree=tiny_tree(lam=1.0),
                                         learning_rate=0.3, n_rounds=50))
-        assert accuracy(predict_label(model, data), data.labels) >= 0.99
+        assert accuracy(np.argmax(predict_proba(model, data), axis=1), data.labels) >= 0.99
 
     def test_deterministic_given_seed(self):
         data = synthetic.make("separable", seed=3)
@@ -109,7 +109,7 @@ class TestMulticlass:
         cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), learning_rate=0.3,
                             n_rounds=30, n_classes=3)
         model = fit(data, cfg)
-        assert accuracy(predict_label(model, data), data.labels) >= 0.95
+        assert accuracy(np.argmax(predict_proba(model, data), axis=1), data.labels) >= 0.95
 
     def test_raw_shape_and_proba_normalization(self):
         data = synthetic.make("blobs3", seed=5)

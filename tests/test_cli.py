@@ -420,6 +420,47 @@ def test_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
+def write_results(tmp_path, values):
+    """A results.csv with one repeat per (gamma, method) cell of dataset d."""
+    lines = ["dataset,method,gamma,repeat,metric,value,params"]
+    lines += [f"d,{method},{gamma},0,aucpr,{value},{{}}"
+              for (gamma, method), value in values.items()]
+    path = tmp_path / "results.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+# a and b tie at gamma 0.0, b and c at gamma 0.3
+TIED_RESULTS = {(0.0, "a"): 0.8, (0.0, "b"): 0.8, (0.0, "c"): 0.5,
+                (0.3, "a"): 0.4, (0.3, "b"): 0.6, (0.3, "c"): 0.6}
+
+
+def test_report_runs_with_scipy_blocked(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(robustboost.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from robustboost.cli import main; sys.exit(main(sys.argv[1:]))")
+    out = tmp_path / "rep"
+    run = subprocess.run([sys.executable, "-c", code, "report", "--results",
+                          write_results(tmp_path, TIED_RESULTS), "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == EXIT_OK, run.stderr
+    assert (out / "ranks.csv").read_text().splitlines() == [
+        "method,average_rank,top_1,top_2,top_3",
+        "a,2.25,0,1,2",
+        "b,1.5,0,2,2",
+        "c,2.25,0,1,2",
+    ]
+
+
+def test_report_rejects_non_finite_value(tmp_path, capsys):
+    results = write_results(tmp_path, {**TIED_RESULTS, (0.3, "b"): "nan"})
+    code = main(["report", "--results", results, "--out", str(tmp_path / "rep")])
+    assert code == EXIT_RUNTIME
+    assert "non-finite score nan for method 'b'" in capsys.readouterr().err
+    assert not (tmp_path / "rep" / "ranks.csv").exists()
+
+
 @pytest.mark.parametrize("name,command", [("benchmark.cfg", "sweep"), ("ablation.cfg", "ablate")])
 def test_committed_configs_build(name, command):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)

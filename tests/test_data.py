@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from robustboost.booster import BoosterConfig, BoosterModel, align
 from robustboost.data import (CsvParseError, SplitError, dump_csv,
-                              from_arrays, imbalance_ratio, load_csv,
+                              from_arrays, load_csv,
                               train_test_split)
 
 
@@ -93,6 +93,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="repeated class name 'pos'"):
             from_arrays(np.zeros((3, 1)), np.array([0, 1, 2]), class_names=["pos", "neg", "pos"])
 
+    @pytest.mark.parametrize("y", [[-1, 0, 1], [0, 0.7, 1], [0, 1, 2], [0, np.nan, 1]])
+    def test_from_arrays_rejects_labels_outside_the_class_ids(self, y):
+        # -1 would index the last class name and 0.7 would truncate to class 0
+        with pytest.raises(ValueError, match=r"is not a class id in \[0, 2\)"):
+            from_arrays(np.zeros((3, 1)), np.array(y), class_names=["a", "b"])
+        assert from_arrays(np.zeros((3, 1)), np.array([1.0, 0.0, 1.0]),
+                           class_names=["a", "b"]).labels.tolist() == [1, 0, 1]
+
     @pytest.mark.parametrize("cell", [np.inf, -np.inf])
     def test_from_arrays_rejects_infinite_cells(self, cell):
         with pytest.raises(ValueError, match="inf"):
@@ -155,18 +163,3 @@ class TestSplit:
         plan = train_test_split(from_arrays(X, y), fraction, seed=seed)
         both = np.concatenate([plan.train_indices, plan.test_indices])
         npt.assert_array_equal(np.sort(both), np.arange(n))
-
-
-class TestImbalanceRatio:
-    def ratio_of(self, counts):
-        y = np.concatenate([np.full(c, k) for k, c in enumerate(counts)])
-        return imbalance_ratio(from_arrays(np.zeros((len(y), 1)), y))
-
-    def test_examples(self):
-        assert self.ratio_of([50, 50]) == 1.0
-        assert self.ratio_of([96, 4]) == 24.0
-        assert self.ratio_of([10, 20, 30]) == 3.0
-
-    def test_single_class_errors(self):
-        with pytest.raises(ValueError):
-            self.ratio_of([10])

@@ -48,6 +48,15 @@ def running_sum_aucpr(scores, labels):
     return min(ap, 1.0)
 
 
+def brute_force_ranks(row):
+    """Average-tie ranks by enumeration: sort best first, then give every
+    score the mean of the 1-based positions its tie group occupies."""
+    positions = {}
+    for pos, value in enumerate(sorted(row, reverse=True), start=1):
+        positions.setdefault(value, []).append(pos)
+    return [sum(positions[v]) / len(positions[v]) for v in row]
+
+
 class TestAucpr:
     def test_worked_example(self):
         val = aucpr([0.9, 0.8, 0.7, 0.6], [1, 0, 1, 0])
@@ -125,9 +134,25 @@ class TestRankMethods:
         table = rank_methods([[0.5, 0.5, 0.1]], ["a", "b", "c"])
         npt.assert_allclose(table.ranks[0], [1.5, 1.5, 3.0])
 
-    def test_lower_is_better(self):
-        table = rank_methods([[0.1, 0.9]], ["a", "b"], higher_is_better=False)
-        npt.assert_array_equal(table.ranks[0], [1, 2])
+    @given(st.integers(1, 6).flatmap(lambda m: st.lists(
+        st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.9, 1.0]), min_size=m, max_size=m),
+        min_size=1, max_size=6)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_ranks(self, S):
+        # five distinct values over up to six methods: most rows hold ties
+        m = len(S[0])
+        table = rank_methods(S, [f"m{j}" for j in range(m)])
+        expected = np.array([brute_force_ranks(row) for row in S])
+        assert table.ranks.tobytes() == expected.tobytes()
+        assert table.average_rank.tobytes() == expected.mean(axis=0).tobytes()
+        npt.assert_array_equal(table.top_n_counts,
+                               [[sum(r[j] <= n for r in expected) for n in range(1, m + 1)]
+                                for j in range(m)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(MetricError, match=f"non-finite score {bad} for method 'b' in row 1"):
+            rank_methods([[0.5, 0.4], [0.3, bad]], ["a", "b"])
 
     def test_top_n_counts(self):
         S = [[0.9, 0.8], [0.9, 0.8], [0.1, 0.8]]

@@ -2,9 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from robustboost.noise import (NoiseSpec, apply_flip_log, expected_flip_matrix,
-                               inject_binary, inject_multiclass, read_flip_log,
-                               write_flip_log)
+from robustboost.noise import NoiseSpec, inject_binary, inject_multiclass, write_flip_log
 
 
 def binary_labels(n_min=10, n_maj=90):
@@ -53,8 +51,10 @@ class TestBinary:
     def test_flip_log_replay_and_involution(self):
         labels = binary_labels(20, 80)
         new, log = inject_binary(labels, NoiseSpec(rate=0.4, seed=2))
-        npt.assert_array_equal(apply_flip_log(labels, log), new)
-        npt.assert_array_equal(apply_flip_log(new, log), labels)
+        # the log names exactly the changed rows, each with its old and new label
+        changed = np.nonzero(new != labels)[0]
+        assert sorted(f.index for f in log) == changed.tolist()
+        assert all((f.old_label, f.new_label) == (labels[f.index], new[f.index]) for f in log)
 
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
@@ -84,34 +84,10 @@ class TestMulticlass:
         for f in log:
             assert f.new_label == (f.old_label + 1) % 3
 
-    def test_no_wrap_keeps_last_class(self):
-        labels = np.full(500, 2)
-        spec = NoiseSpec(rate=0.4, protocol="multiclass_pairflip", seed=5,
-                         wrap_last_class=False)
-        new, log = inject_multiclass(labels, 3, spec)
-        npt.assert_array_equal(new, labels)
-        assert log == []
-
     def test_binary_uses_other_protocol(self):
         with pytest.raises(ValueError):
             inject_multiclass(np.array([0, 1]), 2,
                               NoiseSpec(rate=0.1, protocol="multiclass_pairflip"))
-
-
-class TestFlipMatrix:
-    def test_three_class_example(self):
-        P, sums = expected_flip_matrix(3, 0.2, wrap=True)
-        npt.assert_allclose(P, [[0.8, 0.2, 0.0], [0.0, 0.8, 0.2], [0.2, 0.0, 0.8]])
-        npt.assert_allclose(sums, 1.0)
-
-    def test_zero_rate_identity(self):
-        P, _ = expected_flip_matrix(4, 0.0)
-        npt.assert_array_equal(P, np.eye(4))
-
-    def test_no_wrap_last_row_deficit(self):
-        _, sums = expected_flip_matrix(4, 0.1, wrap=False)
-        npt.assert_allclose(sums[:-1], 1.0)
-        npt.assert_allclose(sums[-1], 0.9)
 
 
 def test_flip_log_csv_roundtrip(tmp_path):
@@ -119,4 +95,6 @@ def test_flip_log_csv_roundtrip(tmp_path):
     _, log = inject_binary(labels, NoiseSpec(rate=0.3, seed=6))
     path = tmp_path / "flips.csv"
     write_flip_log(log, path)
-    assert read_flip_log(path) == log
+    lines = ["sample_index,old_label,new_label"]
+    lines += [f"{f.index},{f.old_label},{f.new_label}" for f in log]
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from robustboost import tree as tree_module
 from robustboost.tree import (TREE_FIELDS, DegenerateDenominatorError, GainScenario, Tree,
                               TreeConfig, decomposed_gain, best_split,
-                              grow_tree, leaf_objective, leaf_weight, presort)
+                              grow_tree, leaf_weight, presort)
 
 
 def columns_from(X):
@@ -61,25 +61,9 @@ class TestLeafFormulas:
         assert leaf_weight(0.0, 5.0, 1.0) == 0.0
         assert leaf_weight(-2.0, 3.0, 1.0) == 0.5
 
-    def test_objective_examples(self):
-        assert leaf_objective(2.0, 1.0, 1.0) == -1.0
-        assert leaf_objective(0.0, 3.0, 0.5) == 0.0
-
     def test_degenerate_denominator(self):
         with pytest.raises(DegenerateDenominatorError):
             leaf_weight(1.0, -1.0, 1.0)
-        with pytest.raises(DegenerateDenominatorError):
-            leaf_objective(1.0, 0.0, 0.0)
-
-    @given(gl=st.floats(-5, 5), gr=st.floats(-5, 5),
-           hl=st.floats(0.1, 5), hr=st.floats(0.1, 5))
-    @settings(max_examples=200, deadline=None)
-    def test_gain_objective_identity(self, gl, gr, hl, hr):
-        # objective(L) + objective(R) - objective(parent) == -gain (lam=0)
-        obj_delta = (leaf_objective(gl, hl, 0.0) + leaf_objective(gr, hr, 0.0)
-                     - leaf_objective(gl + gr, hl + hr, 0.0))
-        gain = 0.5 * (gl**2 / hl + gr**2 / hr - (gl + gr)**2 / (hl + hr))
-        npt.assert_allclose(obj_delta, -gain, rtol=1e-9, atol=1e-12)
 
 
 class TestBestSplit:
