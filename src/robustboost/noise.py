@@ -29,6 +29,11 @@ class NoiseSpec:
             raise ValueError(f"unknown protocol {self.protocol!r}")
 
 
+def _check_protocol(spec, protocol):
+    if spec.protocol != protocol:
+        raise ValueError(f"needs protocol {protocol!r}, got {spec.protocol!r}")
+
+
 @dataclass(frozen=True)
 class Flip:
     index: int
@@ -42,6 +47,7 @@ def inject_binary(labels, spec: NoiseSpec):
     Returns (new_labels, flip_log); the log lists every changed row, in
     ascending row order per direction, with its old and new label.
     """
+    _check_protocol(spec, "binary_pairflip")
     labels = np.asarray(labels)
     classes = np.unique(labels)
     if classes.size != 2:
@@ -69,6 +75,7 @@ def inject_binary(labels, spec: NoiseSpec):
 def inject_multiclass(labels, n_classes: int, spec: NoiseSpec):
     """Each label i independently becomes (i + 1) % n_classes with
     probability rate."""
+    _check_protocol(spec, "multiclass_pairflip")
     if n_classes < 3:
         raise ValueError("multiclass protocol needs >= 3 classes; use the binary protocol")
     labels = np.asarray(labels)

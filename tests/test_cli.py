@@ -281,7 +281,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["sweep", "ablate"])
     @pytest.mark.parametrize("threads", ["0", "-1", "1", "2"])
     def test_non_positive_threads_flag_exits_2(self, tmp_path, capsys, command, threads):
-        # sweeps run serially and take no --threads flag, whatever its value
+        # the sweep sizes its own worker pool and takes no --threads flag, whatever its value
         cfg = write_config(tmp_path, SWEEP_CFG)
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--threads", threads])
@@ -415,6 +415,16 @@ def test_import_does_not_load_scipy():
     env = dict(os.environ, PYTHONPATH=src)
     code = ("import sys, robustboost.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_import_does_not_load_the_process_pool():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(robustboost.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, robustboost.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"

@@ -1,3 +1,5 @@
+import concurrent.futures
+import multiprocessing
 import os
 import re
 import weakref
@@ -12,6 +14,7 @@ from robustboost.booster import BoosterConfig, fit, predict_proba, serialize
 from robustboost.data import SplitError, from_arrays, train_test_split
 from robustboost.experiment import (ExperimentConfig, MethodSpec, default_method, fit_tuned,
                                    run_sweep, task_metric)
+from robustboost.metrics import MetricError
 from robustboost.tree import TreeConfig
 
 TUNED_CCE = MethodSpec(name="cce", family="cce", grid_lr=(0.1, 0.3), grid_rounds=(3,))
@@ -63,7 +66,7 @@ def test_default_method_overrides_reach_only_used_grids():
 
 @pytest.mark.parametrize("threads", [0, -1, 2])
 def test_experiment_config_rejects_non_positive_threads(threads):
-    # sweeps run serially: threads=1 is the only count accepted
+    # a leftover field that the benchmark's next change deletes: only threads=1 constructs
     with pytest.raises(ValueError, match="threads"):
         ExperimentConfig(threads=threads)
     assert ExperimentConfig(threads=1).threads == 1
@@ -280,3 +283,65 @@ def test_sweep_splits_once_per_repeat_and_draws_noise_once_per_level(monkeypatch
     assert len(rows) == 8
     assert len(splits) == len(set(splits)) == 2
     assert len(draws) == len(set(draws)) == 4
+
+
+def record_pools(monkeypatch, cores):
+    """Pretend this process may run on ``cores`` cores, and record the
+    worker count of every process pool a sweep builds."""
+    pools, real = [], concurrent.futures.ProcessPoolExecutor
+
+    class RecordingPool(real):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_sweep_files_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, n_classes):
+    pools = record_pools(monkeypatch, cores=8)
+    cfg = sweep_config((0.0, 0.3), repeats=2, master_seed=n_classes)
+    data = sweep_dataset(n_classes, seed=n_classes)
+    files = {}
+    for workers in (1, 2, 11):  # 8 cells
+        run_sweep(cfg, str(tmp_path / str(workers)), dataset=data, dataset_name="d",
+                  workers=workers)
+        files[workers] = read_dir(tmp_path / str(workers))
+    assert pools == [2, 8]
+    assert len(files[1]) == 2 + 4
+    assert files[1] == files[2] == files[11]
+
+
+def test_a_failing_cell_raises_in_the_caller_and_leaves_no_worker(monkeypatch, tmp_path):
+    pools = record_pools(monkeypatch, cores=2)
+
+    def failing_fit(data, config):
+        raise MetricError(f"no fit on {data.n_samples} rows")
+
+    monkeypatch.setattr(experiment, "fit", failing_fit)
+    with pytest.raises(MetricError, match=r"^no fit on \d+ rows$"):
+        run_sweep(sweep_config((0.0, 0.3), repeats=2), str(tmp_path),
+                  dataset=sweep_dataset(2, seed=0), dataset_name="d", workers=4)
+    assert pools == [2]  # never more workers than usable cores
+    assert multiprocessing.active_children() == []
+
+
+def test_one_usable_core_starts_no_pool(monkeypatch, tmp_path):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    for workers in (None, 4):
+        rows = run_sweep(sweep_config((0.0, 0.3), repeats=1), str(tmp_path / str(workers)),
+                         dataset=sweep_dataset(2, seed=0), dataset_name="d", workers=workers)
+        assert len(rows) == 4
+
+
+def test_run_sweep_rejects_a_worker_count_below_one(tmp_path):
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep(sweep_config((0.0,), repeats=1), str(tmp_path),
+                  dataset=sweep_dataset(2, seed=0), dataset_name="d", workers=0)

@@ -84,6 +84,12 @@ class TestMulticlass:
         for f in log:
             assert f.new_label == (f.old_label + 1) % 3
 
+    def test_injectors_refuse_the_other_protocol(self):
+        with pytest.raises(ValueError, match="'binary_pairflip', got 'multiclass_pairflip'"):
+            inject_binary(binary_labels(), NoiseSpec(rate=0.1, protocol="multiclass_pairflip"))
+        with pytest.raises(ValueError, match="'multiclass_pairflip', got 'binary_pairflip'"):
+            inject_multiclass(np.arange(30) % 3, 3, NoiseSpec(rate=0.1))
+
     def test_binary_uses_other_protocol(self):
         with pytest.raises(ValueError):
             inject_multiclass(np.array([0, 1]), 2,
