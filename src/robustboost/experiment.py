@@ -209,16 +209,19 @@ class SweepRow:
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
-              dataset: TabularDataset = None, dataset_name: str = None, workers=None):
+              dataset: TabularDataset = None, dataset_name: str = None):
     """Full noise sweep. Per repeat, one train/test split; per noise level,
     one noise draw and its flip log (with dataset-global sample indices); per
     method, one cell: a tuned fit scored on the test rows. Writes the flip
     logs, then results.csv and summary.csv, into ``out_dir``.
 
-    The cells run on ``min(workers, usable cores, cells)`` worker processes,
-    ``workers`` defaulting to the usable cores; with one, they run in this
-    process. Every cell is seeded on its own, so the files do not depend on
-    the worker count.
+    The cells run on one worker process per usable core, never more than
+    there are cells; with one worker, in this process. A cell holds only its
+    split's row indices, its noisy labels and its seeds: a forked worker
+    takes the rows from the dataset it inherits. Every cell is seeded on its
+    own, so the files do not depend on the worker count. Every flip log is
+    written before the first cell runs; if cells fail, the first failing one
+    in cell order raises.
     """
     os.makedirs(out_dir, exist_ok=True)
     if dataset is None:
@@ -234,36 +237,37 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
         plan = train_test_split(dataset, cfg.fraction,
                                 seed=derive_seed(cfg.master_seed, TAG_SPLIT, rep),
                                 stratified=cfg.stratified)
-        train, test = dataset.subset(plan.train_indices), dataset.subset(plan.test_indices)
+        train_labels = dataset.labels[plan.train_indices]
         test_idx = set(plan.test_indices.tolist())
         for gi, gamma in enumerate(cfg.noise_levels):
-            noisy, log = _inject(train.labels, n_classes, gamma,
+            noisy, log = _inject(train_labels, n_classes, gamma,
                                  derive_seed(cfg.master_seed, TAG_NOISE, gi, rep))
             log = [Flip(int(plan.train_indices[f.index]), f.old_label, f.new_label)
                    for f in log]
             if {f.index for f in log} & test_idx:
                 raise AssertionError("noise was applied to test indices")
             write_flip_log(log, os.path.join(out_dir, f"fliplog_g{gi}_r{rep}.csv"))
-            noisy_train = train.with_labels(noisy)
             for mi, method in enumerate(methods):
                 keys.append((method.name, gamma, rep))
-                cells.append((noisy_train, test, method, cfg.tree, n_classes, cfg.tune_fraction,
+                cells.append((plan, noisy, method, cfg.tree, cfg.tune_fraction,
                               derive_seed(cfg.master_seed, TAG_TUNE, gi, rep, mi),
                               derive_seed(cfg.master_seed, TAG_MODEL, gi, rep, mi)))
 
     results = [SweepRow(dataset_name, name, gamma, rep, *scored)
-               for (name, gamma, rep), scored in zip(keys, _run_cells(cells, workers))]
+               for (name, gamma, rep), scored in zip(keys, _run_cells(dataset, cells))]
     results.sort(key=lambda r: (r.dataset, r.method, r.gamma, r.repeat))
     _write_results(results, os.path.join(out_dir, "results.csv"))
     _write_summary(results, os.path.join(out_dir, "summary.csv"))
     return results
 
 
-def _run_cell(cell):
+def _run_cell(dataset, cell):
     """One sweep cell: (metric, value, params) of a tuned fit on the noisy
     training rows, scored on the test rows."""
-    noisy_train, test, method, tree, n_classes, tune_fraction, tune_seed, model_seed = cell
-    model, used = fit_tuned(noisy_train, method, tree, n_classes, tune_fraction,
+    plan, noisy, method, tree, tune_fraction, tune_seed, model_seed = cell
+    train = dataset.subset(plan.train_indices).with_labels(noisy)
+    test = dataset.subset(plan.test_indices)
+    model, used = fit_tuned(train, method, tree, dataset.n_classes, tune_fraction,
                             tune_seed=tune_seed, model_seed=model_seed)
     metric_name, value = task_metric(predict_proba(model, test), test)
     params = (f"family={used.loss.family};r={used.loss.r};q={used.loss.q};"
@@ -271,28 +275,34 @@ def _run_cell(cell):
     return metric_name, value, params
 
 
-def _run_cells(cells, workers):
+_worker_dataset = None  # the sweep's dataset, in a pool worker
+
+
+def _init_worker(dataset):
+    global _worker_dataset
+    _worker_dataset = dataset
+
+
+def _run_worker_cell(cell):
+    return _run_cell(_worker_dataset, cell)
+
+
+def _run_cells(dataset, cells):
     """``_run_cell`` of every cell, in cell order."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     # the cores this process may run on; where that is unknown, run in-process
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(workers or usable, usable, len(cells))
+    workers = min(usable, len(cells))
     if workers <= 1:
-        return [_run_cell(cell) for cell in cells]
+        return [_run_cell(dataset, cell) for cell in cells]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # longest first: every (loss, lr) group of a method's grid is one tuning fit
-    order = sorted(range(len(cells)),
-                   key=lambda i: -len({c[:2] for c in cells[i][2].candidates()}))
-    # fork, named because Python 3.14 defaults to another method: a forked worker
-    # starts without importing numpy again, and the sweep starts no threads
-    out = [None] * len(cells)
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        for i, scored in zip(order, pool.map(_run_cell, [cells[i] for i in order])):
-            out[i] = scored
-    return out
+    # fork, named because Python 3.14 defaults to another method, and safe since
+    # the sweep starts no threads: a forked worker starts without importing numpy
+    # again and inherits the initializer's arguments, so the dataset is never pickled
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(dataset,)) as pool:
+        return list(pool.map(_run_worker_cell, cells))
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir: str, dataset=None, dataset_name=None):

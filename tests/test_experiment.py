@@ -2,6 +2,7 @@ import concurrent.futures
 import multiprocessing
 import os
 import re
+import time
 import weakref
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 
 from robustboost import experiment, synthetic
 from robustboost.booster import BoosterConfig, fit, predict_proba, serialize
-from robustboost.data import SplitError, from_arrays, train_test_split
-from robustboost.experiment import (ExperimentConfig, MethodSpec, default_method, fit_tuned,
-                                   run_sweep, task_metric)
+from robustboost.data import SplitError, TabularDataset, from_arrays, train_test_split
+from robustboost.experiment import (TAG_MODEL, ExperimentConfig, MethodSpec, default_method,
+                                   derive_seed, fit_tuned, run_sweep, task_metric)
 from robustboost.metrics import MetricError
 from robustboost.tree import TreeConfig
 
@@ -302,15 +303,14 @@ def record_pools(monkeypatch, cores):
 
 @pytest.mark.parametrize("n_classes", [2, 3])
 def test_sweep_files_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, n_classes):
-    pools = record_pools(monkeypatch, cores=8)
     cfg = sweep_config((0.0, 0.3), repeats=2, master_seed=n_classes)
     data = sweep_dataset(n_classes, seed=n_classes)
-    files = {}
-    for workers in (1, 2, 11):  # 8 cells
-        run_sweep(cfg, str(tmp_path / str(workers)), dataset=data, dataset_name="d",
-                  workers=workers)
-        files[workers] = read_dir(tmp_path / str(workers))
-    assert pools == [2, 8]
+    pools, files = record_pools(monkeypatch, cores=1), {}
+    for cores in (1, 2, 11):  # 8 cells
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+        run_sweep(cfg, str(tmp_path / str(cores)), dataset=data, dataset_name="d")
+        files[cores] = read_dir(tmp_path / str(cores))
+    assert pools == [2, 8]  # none for one core, never more workers than cells
     assert len(files[1]) == 2 + 4
     assert files[1] == files[2] == files[11]
 
@@ -324,8 +324,34 @@ def test_a_failing_cell_raises_in_the_caller_and_leaves_no_worker(monkeypatch, t
     monkeypatch.setattr(experiment, "fit", failing_fit)
     with pytest.raises(MetricError, match=r"^no fit on \d+ rows$"):
         run_sweep(sweep_config((0.0, 0.3), repeats=2), str(tmp_path),
-                  dataset=sweep_dataset(2, seed=0), dataset_name="d", workers=4)
-    assert pools == [2]  # never more workers than usable cores
+                  dataset=sweep_dataset(2, seed=0), dataset_name="d")
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_the_first_failing_cell_in_cell_order_raises(monkeypatch, tmp_path):
+    record_pools(monkeypatch, cores=2)
+    real_fit, late = experiment.fit, tmp_path / "late_cell_failed"
+
+    def fit(data, config):
+        if config.seed == second:  # fail only after the last cell has failed
+            deadline = time.monotonic() + 60
+            while not late.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise MetricError("second cell")
+        if config.seed == last:
+            late.touch()
+            raise MetricError("last cell")
+        return real_fit(data, config)
+
+    cfg = sweep_config((0.0, 0.3), repeats=2)  # cells run rep, level, method
+    second = derive_seed(cfg.master_seed, TAG_MODEL, 0, 0, 1)
+    last = derive_seed(cfg.master_seed, TAG_MODEL, 1, 1, 1)
+    monkeypatch.setattr(experiment, "fit", fit)
+    with pytest.raises(MetricError, match="^second cell$"):
+        run_sweep(cfg, str(tmp_path / "out"), dataset=sweep_dataset(2, seed=0),
+                  dataset_name="d")
+    assert late.exists()
     assert multiprocessing.active_children() == []
 
 
@@ -335,13 +361,18 @@ def test_one_usable_core_starts_no_pool(monkeypatch, tmp_path):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    for workers in (None, 4):
-        rows = run_sweep(sweep_config((0.0, 0.3), repeats=1), str(tmp_path / str(workers)),
-                         dataset=sweep_dataset(2, seed=0), dataset_name="d", workers=workers)
-        assert len(rows) == 4
+    rows = run_sweep(sweep_config((0.0, 0.3), repeats=1), str(tmp_path),
+                     dataset=sweep_dataset(2, seed=0), dataset_name="d")
+    assert len(rows) == 4
 
 
-def test_run_sweep_rejects_a_worker_count_below_one(tmp_path):
-    with pytest.raises(ValueError, match="workers"):
-        run_sweep(sweep_config((0.0,), repeats=1), str(tmp_path),
-                  dataset=sweep_dataset(2, seed=0), dataset_name="d", workers=0)
+def test_workers_take_the_rows_from_the_dataset_they_inherit(monkeypatch, tmp_path):
+    record_pools(monkeypatch, cores=2)
+
+    def no_pickle(self):
+        raise AssertionError("the dataset was pickled")
+
+    monkeypatch.setattr(TabularDataset, "__reduce__", no_pickle, raising=False)
+    rows = run_sweep(sweep_config((0.0, 0.3), repeats=1), str(tmp_path),
+                     dataset=sweep_dataset(2, seed=0), dataset_name="d")
+    assert len(rows) == 4
