@@ -12,7 +12,9 @@ bitwise unchanged, so two commits can be compared with ``diff``:
   and on the ablation's ``results.csv``;
 - ``predict_raw`` (train and validation), ``serialize()``, the loss
   histories and ``best_round`` of a fixed set of fits with missing cells,
-  row subsampling and early stopping.
+  row subsampling and early stopping, and with ``min_samples_leaf > 1`` and
+  ``min_gain > 0``, with ``lam = 0``, and on unrounded features (all values
+  distinct), with and without missing cells.
 
 Usage, from the repository root:
 
@@ -100,16 +102,22 @@ grid_rounds = 4,8
 max_leaves = 8
 """
 
-# (loss family, n_classes, subsample, early_stopping_rounds)
+# (loss family, n_classes, subsample, early_stopping_rounds, changes to TREE,
+#  changes to noisy_dataset's arguments)
+TREE = dict(lam=0.5, max_depth=5, max_leaves=12)
 FITS = (
-    ("cce", 2, 0.8, 5),
-    ("rfl", 2, 0.7, None),
-    ("gce", 3, 0.8, None),
-    ("fl", 3, 1.0, 5),
-    ("mae", 2, 0.8, None),
-    ("nce", 4, 0.7, None),
-    ("sce", 2, 0.7, 5),
-    ("rfl", 4, 0.8, 5),
+    ("cce", 2, 0.8, 5, {}, {}),
+    ("rfl", 2, 0.7, None, {}, {}),
+    ("gce", 3, 0.8, None, {}, {}),
+    ("fl", 3, 1.0, 5, {}, {}),
+    ("mae", 2, 0.8, None, {}, {}),
+    ("nce", 4, 0.7, None, {}, {}),
+    ("sce", 2, 0.7, 5, {}, {}),
+    ("rfl", 4, 0.8, 5, {}, {}),
+    ("rfl", 2, 0.8, None, {"min_samples_leaf": 5, "min_gain": 0.05}, {}),
+    ("cce", 3, 0.8, None, {"lam": 0.0}, {}),
+    ("rfl", 2, 0.8, 5, {}, {"decimals": None}),
+    ("gce", 3, 1.0, None, {"min_samples_leaf": 3}, {"decimals": None, "missing_rate": 0.0}),
 )
 
 
@@ -137,12 +145,15 @@ def run_cli(argv):
         raise SystemExit(f"robustboost {' '.join(argv)} exited {code}: {err.getvalue()}")
 
 
-def noisy_dataset(rng, n, n_classes, missing_rate=0.05, m=4):
+def noisy_dataset(rng, n, n_classes, missing_rate=0.05, m=4, decimals=2):
+    """Features rounded to ``decimals`` (ties), or not rounded if None."""
     X = rng.normal(size=(n, m))
     score = X @ rng.normal(size=m) + 0.2 * rng.normal(size=n)
     y = np.digitize(score, np.quantile(score, np.linspace(0, 1, n_classes + 1)[1:-1]))
     X[rng.random(X.shape) < missing_rate] = np.nan
-    return from_arrays(np.round(X, 2), y, class_names=[f"c{k}" for k in range(n_classes)])
+    if decimals is not None:
+        X = np.round(X, decimals)
+    return from_arrays(X, y, class_names=[f"c{k}" for k in range(n_classes)])
 
 
 def cli_digests(tmp):
@@ -183,12 +194,12 @@ def sweep_digests(tmp):
 
 
 def fit_digests():
-    for i, (family, n_classes, subsample, patience) in enumerate(FITS):
+    for i, (family, n_classes, subsample, patience, tree, shape) in enumerate(FITS):
         rng = np.random.default_rng(100 + i)
-        data = noisy_dataset(rng, 550, n_classes)
+        data = noisy_dataset(rng, 550, n_classes, **shape)
         train, valid = data.subset(np.arange(400)), data.subset(np.arange(400, 550))
         config = BoosterConfig(
-            loss=LossSpec(family), tree=TreeConfig(lam=0.5, max_depth=5, max_leaves=12),
+            loss=LossSpec(family), tree=TreeConfig(**{**TREE, **tree}),
             learning_rate=0.3, n_rounds=40, n_classes=n_classes, seed=i,
             subsample=subsample, early_stopping_rounds=patience)
         model = fit(train, config, valid=valid)

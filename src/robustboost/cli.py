@@ -23,7 +23,7 @@ from .booster import BoosterConfig, align, deserialize, fit, predict_proba, seri
 from .experiment import (ExperimentConfig, default_method, load_experiment_dataset,
                          read_results, run_ablation, run_sweep, task_metric)
 from .losses import LossSpec
-from .metrics import rank_methods
+from .metrics import MetricError, rank_methods
 from .synthetic import GENERATORS
 from .tree import TreeConfig
 
@@ -190,10 +190,19 @@ def cmd_predict(args) -> int:
         writer.writerow(["index"] + [f"proba_{k}" for k in range(proba.shape[1])] + ["label"])
         # csv writes a float with str, which is repr
         writer.writerows(zip(range(proba.shape[0]), *proba.T.tolist(), tokens))
-    metric, value = task_metric(proba, data)
+    try:
+        metric, value = task_metric(proba, data)
+        report = {"metric": metric, "value": value}
+    except MetricError as exc:  # a batch of one class, or of no rows, has no score
+        metric = "aucpr" if data.n_classes == 2 else "accuracy"
+        report = {"metric": metric, "value": None, "reason": str(exc)}
     with open(os.path.join(args.out, "predict_report.json"), "w", encoding="utf-8") as fh:
-        json.dump({"metric": metric, "value": value}, fh, indent=1)
-    print(f"predicted {proba.shape[0]} samples: {metric}={value:.6f}")
+        json.dump(report, fh, indent=1)
+    if report["value"] is None:
+        print(f"predicted {proba.shape[0]} samples; no {metric}: {report['reason']}",
+              file=sys.stderr)
+    else:
+        print(f"predicted {proba.shape[0]} samples: {metric}={value:.6f}")
     return EXIT_OK
 
 

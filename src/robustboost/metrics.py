@@ -45,6 +45,8 @@ def accuracy(predicted, true) -> float:
     true = np.asarray(true)
     if predicted.shape != true.shape:
         raise MetricError("prediction/label length mismatch")
+    if true.size == 0:
+        raise MetricError("accuracy needs at least one sample")
     return float((predicted == true).mean())
 
 

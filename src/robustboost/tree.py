@@ -8,9 +8,11 @@ backstop.
 Split search sorts once per fit (``presort`` of every row). A tree's root
 filters that sort to the tree's rows, a subset in a subsampled round, and
 each split filters its node's sort into the two children; filtered in order,
-every feature's row list stays sorted. A scan scores each threshold with the
-NaN suffix sent right, then left, in one vector. Gain ties go to the lowest
-feature, then missing right, then the lowest threshold.
+every feature's row list stays sorted. A scan scores every threshold with
+the NaN suffix sent right in one pass and, only if the node has missing rows,
+with it sent left in a second; the second wins only with a strictly higher
+gain. Gain ties go to the lowest feature, then missing right, then the lowest
+threshold.
 """
 
 from __future__ import annotations
@@ -186,15 +188,22 @@ def partition_sorted(order, keep, n_kept):
 def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
     """Best split of one node on feature ``f``, whose values ``vals`` ascend
     with NaN (missing) last; ``g`` and ``h`` follow their order."""
+    n = vals.size
     n_present = int(vals.searchsorted(np.nan))  # the first NaN
     pv = vals[:n_present]
-    # boundaries between consecutive distinct present values
-    cut = np.nonzero(pv[:-1] < pv[1:])[0]
-    if cut.size == 0:
+    # boundaries between consecutive distinct present values; None when every
+    # gap is one, so that cut i is at position i and prefixes are views
+    rises = pv[:-1] < pv[1:]
+    n_cuts = int(np.count_nonzero(rises))
+    if n_cuts == 0:
         return None
+    cut = None if n_cuts == rises.size else rises.nonzero()[0]
 
     cg, ch = g[:n_present].cumsum(), h[:n_present].cumsum()
-    g_miss, h_miss = float(g[n_present:].sum()), float(h[n_present:].sum())
+    n_miss = n - n_present
+    g_miss = h_miss = 0.0  # what the sums of no rows give, signs of zeros included
+    if n_miss:
+        g_miss, h_miss = float(g[n_present:].sum()), float(h[n_present:].sum())
     G_tot, H_tot = cg[-1] + g_miss, ch[-1] + h_miss
 
     denom_p = H_tot + config.lam
@@ -202,30 +211,43 @@ def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]
         return None
     parent_term = G_tot * G_tot / denom_p
 
-    # every cut with the missing rows right, then every cut with them left
-    # (no such second half without missing rows: it would repeat the first)
-    n_miss = vals.size - n_present
-    left_cut = cut if n_miss else cut[:0]
-    GL = np.concatenate((cg[cut], cg[left_cut] + g_miss))
-    HL = np.concatenate((ch[cut], ch[left_cut] + h_miss))
-    NL = np.concatenate((cut, left_cut + n_miss)) + 1
-    GR, HR, NR = G_tot - GL, H_tot - HL, vals.size - NL
-    dl, dr = HL + config.lam, HR + config.lam
-    # near-zero denominators are masked below; best_split silences their warnings
-    gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
-    bad = ((NL < config.min_samples_leaf) | (NR < config.min_samples_leaf)
-           | (HL < config.min_sum_hessian) | (HR < config.min_sum_hessian)
-           | (np.abs(dl) <= DENOM_EPS) | (np.abs(dr) <= DENOM_EPS) | ~np.isfinite(gain))
-    gain[bad] = -np.inf
-    k = int(gain.argmax())  # first max: missing right, then lowest threshold
-    if gain[k] < config.min_gain or not np.isfinite(gain[k]):
+    GL_cut, HL_cut = (cg[:-1], ch[:-1]) if cut is None else (cg[cut], ch[cut])
+    msl = config.min_samples_leaf
+    best = (-np.inf,)  # gain first
+    # missing rows right, then left (only if any), each cut in ascending order:
+    # a later candidate wins only with a strictly higher gain
+    for shift in (0, n_miss) if n_miss else (0,):
+        # min_samples_leaf holds for the cuts at positions in [low, high), and
+        # positions ascend; the searches are skipped where the bounds cannot bind
+        low, high = msl - 1 - shift, n - msl - shift
+        start, stop = max(low, 0), min(high, n_cuts)
+        if cut is not None and (low > 0 or high < n_present - 1):
+            start, stop = cut.searchsorted((low, high))
+        if start >= stop:
+            continue
+        GL, HL = GL_cut[start:stop], HL_cut[start:stop]
+        if shift:
+            GL, HL = GL + g_miss, HL + h_miss
+        GR, HR = G_tot - GL, H_tot - HL
+        dl, dr = HL + config.lam, HR + config.lam
+        # near-zero denominators are masked below; best_split silences their warnings
+        gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
+        # a NaN that np.minimum passes on makes the gain NaN too
+        bad = ((np.minimum(HL, HR) < config.min_sum_hessian)
+               | (np.minimum(np.abs(dl), np.abs(dr)) <= DENOM_EPS) | ~np.isfinite(gain))
+        gain[bad] = -np.inf
+        k = int(gain.argmax())  # the first max: the lowest threshold
+        if gain[k] > best[0]:
+            best = (gain[k], start + k, shift, GL[k], HL[k], GR[k], HR[k])
+    if best[0] < config.min_gain or not np.isfinite(best[0]):
         return None
-    c = cut[k % cut.size]
+    gain, i, shift, gl, hl, gr, hr = best
+    c = i if cut is None else int(cut[i])
     lo, hi = float(pv[c]), float(pv[c + 1])
     mid = 0.5 * lo + 0.5 * hi  # cannot overflow; lo where it rounds up to hi
-    return SplitCandidate(f, mid if mid < hi else lo, float(gain[k]), k >= cut.size,
-                          float(GL[k]), float(HL[k]), float(GR[k]), float(HR[k]),
-                          int(NL[k]), int(NR[k]))
+    n_left = c + 1 + shift
+    return SplitCandidate(f, mid if mid < hi else lo, float(gain), shift > 0,
+                          float(gl), float(hl), float(gr), float(hr), n_left, n - n_left)
 
 
 def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandidate]:

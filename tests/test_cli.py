@@ -382,6 +382,21 @@ def test_predict_writes_label_tokens(token_model):
     assert np.mean(np.array(predicted) == tokens) > 0.7
 
 
+@pytest.mark.parametrize("n_rows", [5, 0])
+def test_predict_on_an_unscorable_batch_reports_no_value(token_model, tmp_path, capsys, n_rows):
+    # five rows of one class, or a header and no rows: predictions, but no aucpr
+    model, X, _, _ = token_model
+    path = write_token_csv(tmp_path / "batch.csv", X[:n_rows], ["neg"] * n_rows,
+                           ["a", "b", "c", "label"])
+    out = str(tmp_path / "p")
+    assert main(["predict", "--model", model, "--data", path, "--out", out]) == EXIT_OK
+    rows, report = read_predictions(out)
+    assert len(rows) == n_rows
+    assert report == {"metric": "aucpr", "value": None,
+                      "reason": "aucpr needs both classes present"}
+    assert "no aucpr: aucpr needs both classes present" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("names,header,token,named", [
     ("abd", ["a", "b", "d", "label"], "neg", "missing ['c'], extra ['d']"),
     ("abc", ["a", "b", "label"], "neg", "missing ['c'], extra []"),

@@ -121,6 +121,10 @@ class TestAccuracy:
         with pytest.raises(MetricError):
             accuracy([1, 0], [1, 0, 1])
 
+    def test_empty(self):
+        with pytest.raises(MetricError, match="at least one sample"):
+            accuracy([], [])
+
 
 class TestRankMethods:
     def test_simple_ranking(self):

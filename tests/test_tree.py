@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustboost import tree as tree_module
-from robustboost.tree import (TREE_FIELDS, DegenerateDenominatorError, GainScenario, Tree,
-                              TreeConfig, decomposed_gain, best_split,
+from robustboost.tree import (DENOM_EPS, TREE_FIELDS, DegenerateDenominatorError, GainScenario,
+                              SplitCandidate, Tree, TreeConfig, decomposed_gain, best_split,
                               grow_tree, leaf_weight, presort)
 
 
@@ -376,6 +376,138 @@ def test_split_search_reads_each_node_presorted(data, n, m, max_leaves):
     for node_rows in seen:
         # one row set in every column, ascending by value, NaN last, ties by row id
         npt.assert_array_equal(node_rows, presort(cols, np.sort(node_rows[:, 0])))
+
+
+def reference_scan(f, vals, g, h, config):
+    """Reference for ``tree._scan_feature``: one vector holds every cut with the
+    missing rows right, then every cut with them left, and min_samples_leaf
+    is a mask of row counts."""
+    n_present = int(vals.searchsorted(np.nan))
+    pv = vals[:n_present]
+    cut = np.nonzero(pv[:-1] < pv[1:])[0]
+    if cut.size == 0:
+        return None
+
+    cg, ch = g[:n_present].cumsum(), h[:n_present].cumsum()
+    g_miss, h_miss = float(g[n_present:].sum()), float(h[n_present:].sum())
+    G_tot, H_tot = cg[-1] + g_miss, ch[-1] + h_miss
+
+    denom_p = H_tot + config.lam
+    if abs(denom_p) < DENOM_EPS:
+        return None
+    parent_term = G_tot * G_tot / denom_p
+
+    n_miss = vals.size - n_present
+    left_cut = cut if n_miss else cut[:0]
+    GL = np.concatenate((cg[cut], cg[left_cut] + g_miss))
+    HL = np.concatenate((ch[cut], ch[left_cut] + h_miss))
+    NL = np.concatenate((cut, left_cut + n_miss)) + 1
+    GR, HR, NR = G_tot - GL, H_tot - HL, vals.size - NL
+    dl, dr = HL + config.lam, HR + config.lam
+    gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
+    bad = ((NL < config.min_samples_leaf) | (NR < config.min_samples_leaf)
+           | (HL < config.min_sum_hessian) | (HR < config.min_sum_hessian)
+           | (np.abs(dl) <= DENOM_EPS) | (np.abs(dr) <= DENOM_EPS) | ~np.isfinite(gain))
+    gain[bad] = -np.inf
+    k = int(gain.argmax())
+    if gain[k] < config.min_gain or not np.isfinite(gain[k]):
+        return None
+    c = cut[k % cut.size]
+    lo, hi = float(pv[c]), float(pv[c + 1])
+    mid = 0.5 * lo + 0.5 * hi
+    return SplitCandidate(f, mid if mid < hi else lo, float(gain[k]), k >= cut.size,
+                          float(GL[k]), float(HL[k]), float(GR[k]), float(HR[k]),
+                          int(NL[k]), int(NR[k]))
+
+
+def reference_best_split(columns, rows, g, h, config):
+    best = None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for f in range(len(columns)):
+            ids = rows[:, f]
+            cand = reference_scan(f, columns[f][ids], g[ids], h[ids], config)
+            if cand is not None and (best is None or cand.gain > best.gain):
+                best = cand
+    return best
+
+
+def bitwise(cand):
+    """A candidate's fields with their types, each float by its bits."""
+    if cand is None:
+        return None
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in vars(cand).values()]
+
+
+QUARTERS = st.integers(-8, 8).map(lambda k: k / 4.0)  # sums exact in any order: gain ties
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 3),
+       lam=st.sampled_from([0.0, 1.0]), min_sum_hessian=st.sampled_from([0.0, 0.5]),
+       min_gain=st.sampled_from([0.0, 0.1]))
+def test_split_scan_matches_the_reference_bitwise(data, n, m, lam, min_sum_hessian, min_gain):
+    columns = []
+    for _ in range(m):
+        kind = data.draw(st.sampled_from(["distinct", "levels", "extremes"]))
+        if kind == "distinct":
+            present = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n,
+                                         unique=True))
+        else:  # ties, and for "extremes" also overflowing sums and subnormals
+            values = SPLIT_VALUES if kind == "extremes" else (0.0, 1.0, 2.0)
+            present = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+        missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        columns.append(np.where(missing, np.nan, present))
+    cols = np.array(columns, dtype=float)
+    g = np.array(data.draw(st.lists(st.one_of(QUARTERS, st.floats(-4, 4)),
+                                    min_size=n, max_size=n)), dtype=float)
+    # tenths: sums that should cancel leave a rounding residue, a near-zero denominator;
+    # no |h| below 1e-6, as a sum near 1e-308 overflows the division (a RuntimeWarning)
+    tenths = st.sampled_from([0.1, 0.2, -0.3])
+    floats = st.floats(-1, 2).filter(lambda v: v == 0 or abs(v) >= 1e-6)
+    h = np.array(data.draw(st.lists(st.one_of(QUARTERS, tenths, floats),
+                                    min_size=n, max_size=n)), dtype=float)
+    # rows with g = h = 0 tie the two missing directions when they are the missing ones,
+    # and with -0.0 test the signs of zero sums
+    zero = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    g[zero] = h[zero] = data.draw(st.sampled_from([0.0, -0.0]))
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    min_samples_leaf = data.draw(st.integers(1, max(1, min(5, rows.size // 2))))
+    config = TreeConfig(lam=lam, min_samples_leaf=min_samples_leaf,
+                        min_sum_hessian=min_sum_hessian, min_gain=min_gain)
+    node = presort(cols, rows)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for f in range(m):
+            ids = node[:, f]
+            assert (bitwise(tree_module._scan_feature(f, cols[f][ids], g[ids], h[ids], config))
+                    == bitwise(reference_scan(f, cols[f][ids], g[ids], h[ids], config)))
+    assert bitwise(best_split(cols, node, g, h, config)) == bitwise(
+        reference_best_split(cols, node, g, h, config))
+
+
+@pytest.mark.parametrize("x,g,h,lam,min_samples_leaf", [
+    # after the third row the left sum of h is a rounding residue, 5.6e-17, not 0
+    ([0, 1, 2, 3], [1, 1, 1, -1], [0.1, 0.2, -0.3, 1], 0.0, 1),
+    # after the second row the right sum of h is 2.8e-17
+    ([0, 1, 2, 3], [1, 1, 1, 1], [0.1, 0.1, 0.1, -0.1], 0.0, 1),
+    # the best split leaves one row left, whose g is -0.0: so is g_left
+    ([0, 1, 2, 3], [-0.0, 2, 2, 2], [1, 1, 1, 1], 1.0, 1),
+    # the one split, of gain 0, leaves one row left, whose g and h are -0.0
+    ([0, 1], [-0.0, 1], [-0.0, 1], 1.0, 1),
+    # tied values: the best cut, after two rows, is the first one min_samples_leaf allows
+    ([0, 0, 1, 1, 2, np.nan], [-2, -2, 1, 1, 1, 0], [1, 1, 1, 1, 1, 1], 1.0, 2),
+    # tied values: with the missing rows left, the highest gain leaves one row right
+    ([0, 1, 1, 2, np.nan, np.nan], [1, 1, 1, -5, 1, 1], [1, 1, 1, 1, 1, 1], 1.0, 2),
+])
+def test_split_scan_edge_cases(x, g, h, lam, min_samples_leaf):
+    cols = columns_from(np.array(x, dtype=float)[:, None])
+    g, h = np.array(g, dtype=float), np.array(h, dtype=float)
+    config = TreeConfig(lam=lam, min_sum_hessian=0.0, min_samples_leaf=min_samples_leaf)
+    node = presort(cols, np.arange(len(x)))
+    cand = best_split(cols, node, g, h, config)
+    assert bitwise(cand) == bitwise(reference_best_split(cols, node, g, h, config))
+    assert cand is not None and cand.gain < 100  # no near-zero denominator chosen
+    assert min(cand.n_left, cand.n_right) >= min_samples_leaf
 
 
 class TestDecomposedGain:
