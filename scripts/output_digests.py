@@ -6,15 +6,17 @@ bitwise unchanged, so two commits can be compared with ``diff``:
   config, on its synthetic data and on a CSV with missing cells;
 - every file of the acceptance gate's criterion-12 sweep at ``--seed 9``,
   of two sweeps whose grids hold several ``grid_rounds`` values (the staged
-  tuning path of ``experiment.fit_tuned``) and of a small ``robustboost
-  ablate``;
+  tuning path of ``experiment.fit_tuned``), of a sweep whose two-valued
+  ``grid_r`` and ``grid_q`` reach families that read neither, one or both
+  (``MethodSpec.candidates``), and of a small ``robustboost ablate``;
 - the ``ranks.csv`` of ``robustboost report`` on the criterion-12 sweep's
   and on the ablation's ``results.csv``;
 - ``predict_raw`` (train and validation), ``serialize()``, the loss
   histories and ``best_round`` of a fixed set of fits with missing cells,
   row subsampling and early stopping, and with ``min_samples_leaf > 1`` and
-  ``min_gain > 0``, with ``lam = 0``, and on unrounded features (all values
-  distinct), with and without missing cells.
+  ``min_gain > 0``, with ``lam = 0``, on unrounded features (all values
+  distinct), with and without missing cells, and of mae, sce and nce under
+  ``focal_wrap`` with ``r > 0``.
 
 Usage, from the repository root:
 
@@ -90,6 +92,19 @@ max_depth = 6
 max_leaves = 16
 """
 
+# fl reads r, rfl r and q, sce and nce neither
+FOCAL_SWEEP_CFG = """
+dataset = synthetic:imbalanced
+methods = fl,rfl,sce,nce
+noise_levels = 0.0,0.3
+repeats = 1
+grid_r = 0.5,2.0
+grid_q = 0.3,0.7
+grid_lr = 0.3
+grid_rounds = 6
+max_leaves = 8
+"""
+
 # an ablation of rfl (full, r = 0, q -> 0) with two r values and two rounds values
 ABLATE_CFG = """
 dataset = synthetic:imbalanced
@@ -103,21 +118,24 @@ max_leaves = 8
 """
 
 # (loss family, n_classes, subsample, early_stopping_rounds, changes to TREE,
-#  changes to noisy_dataset's arguments)
+#  changes to noisy_dataset's arguments, changes to the LossSpec)
 TREE = dict(lam=0.5, max_depth=5, max_leaves=12)
 FITS = (
-    ("cce", 2, 0.8, 5, {}, {}),
-    ("rfl", 2, 0.7, None, {}, {}),
-    ("gce", 3, 0.8, None, {}, {}),
-    ("fl", 3, 1.0, 5, {}, {}),
-    ("mae", 2, 0.8, None, {}, {}),
-    ("nce", 4, 0.7, None, {}, {}),
-    ("sce", 2, 0.7, 5, {}, {}),
-    ("rfl", 4, 0.8, 5, {}, {}),
-    ("rfl", 2, 0.8, None, {"min_samples_leaf": 5, "min_gain": 0.05}, {}),
-    ("cce", 3, 0.8, None, {"lam": 0.0}, {}),
-    ("rfl", 2, 0.8, 5, {}, {"decimals": None}),
-    ("gce", 3, 1.0, None, {"min_samples_leaf": 3}, {"decimals": None, "missing_rate": 0.0}),
+    ("cce", 2, 0.8, 5, {}, {}, {}),
+    ("rfl", 2, 0.7, None, {}, {}, {}),
+    ("gce", 3, 0.8, None, {}, {}, {}),
+    ("fl", 3, 1.0, 5, {}, {}, {}),
+    ("mae", 2, 0.8, None, {}, {}, {}),
+    ("nce", 4, 0.7, None, {}, {}, {}),
+    ("sce", 2, 0.7, 5, {}, {}, {}),
+    ("rfl", 4, 0.8, 5, {}, {}, {}),
+    ("rfl", 2, 0.8, None, {"min_samples_leaf": 5, "min_gain": 0.05}, {}, {}),
+    ("cce", 3, 0.8, None, {"lam": 0.0}, {}, {}),
+    ("rfl", 2, 0.8, 5, {}, {"decimals": None}, {}),
+    ("gce", 3, 1.0, None, {"min_samples_leaf": 3}, {"decimals": None, "missing_rate": 0.0}, {}),
+    ("mae", 2, 0.8, None, {}, {}, {"r": 1.5, "focal_wrap": True}),
+    ("sce", 3, 0.8, 5, {}, {}, {"r": 0.5, "focal_wrap": True}),
+    ("nce", 2, 1.0, None, {}, {}, {"r": 2.0, "focal_wrap": True}),
 )
 
 
@@ -181,7 +199,8 @@ def cli_digests(tmp):
 def sweep_digests(tmp):
     for command, name, text, seed in (
             ("sweep", "sweep", SWEEP_CFG, "9"), ("sweep", "noise_sweep", NOISE_SWEEP_CFG, "41"),
-            ("sweep", "blobs3_sweep", BLOBS3_CFG, "3"), ("ablate", "ablate", ABLATE_CFG, "5")):
+            ("sweep", "blobs3_sweep", BLOBS3_CFG, "3"),
+            ("sweep", "focal_sweep", FOCAL_SWEEP_CFG, "13"), ("ablate", "ablate", ABLATE_CFG, "5")):
         cfg = os.path.join(tmp, f"{name}.cfg")
         with open(cfg, "w") as fh:
             fh.write(text)
@@ -194,12 +213,12 @@ def sweep_digests(tmp):
 
 
 def fit_digests():
-    for i, (family, n_classes, subsample, patience, tree, shape) in enumerate(FITS):
+    for i, (family, n_classes, subsample, patience, tree, shape, loss) in enumerate(FITS):
         rng = np.random.default_rng(100 + i)
         data = noisy_dataset(rng, 550, n_classes, **shape)
         train, valid = data.subset(np.arange(400)), data.subset(np.arange(400, 550))
         config = BoosterConfig(
-            loss=LossSpec(family), tree=TreeConfig(**{**TREE, **tree}),
+            loss=LossSpec(family, **loss), tree=TreeConfig(**{**TREE, **tree}),
             learning_rate=0.3, n_rounds=40, n_classes=n_classes, seed=i,
             subsample=subsample, early_stopping_rounds=patience)
         model = fit(train, config, valid=valid)

@@ -81,8 +81,7 @@ def _mean_loss(spec: LossSpec, targets, z) -> float:
     """Mean over score columns of each column's mean loss on its 0/1 targets."""
     means = []
     for k, yk in enumerate(targets):
-        phat = np.clip(make_phat(yk, sigmoid(z[:, k])), 1e-15, 1.0 - 1e-15)
-        means.append(np.mean(loss_value(spec, phat)))
+        means.append(np.mean(loss_value(spec, make_phat(yk, sigmoid(z[:, k])))))
     return float(np.mean(means))
 
 
@@ -222,12 +221,17 @@ def serialize(model: BoosterModel) -> str:
         "booster": {key: getattr(model.config, key) for key in BOOSTER_KEYS},
         "trees": [[t.to_dict() for t in lst] for lst in model.trees],
     }
-    return json.dumps(doc, indent=1)
+    return json.dumps(doc, indent=1, allow_nan=False)
+
+
+def _non_finite(literal):
+    raise ModelFormatError(f"the model document holds the non-finite number {literal}")
 
 
 def deserialize(text: str) -> BoosterModel:
     try:
-        doc = json.loads(text)
+        # json accepts NaN, Infinity and -Infinity, which no model holds
+        doc = json.loads(text, parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "robustboost-model":

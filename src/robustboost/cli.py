@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .booster import BoosterConfig, align, deserialize, fit, predict_proba, serialize
-from .experiment import (ExperimentConfig, default_method, load_experiment_dataset,
+from .experiment import (ExperimentConfig, MethodSpec, load_experiment_dataset,
                          read_results, run_ablation, run_sweep, task_metric)
 from .losses import LossSpec
 from .metrics import MetricError, rank_methods
@@ -88,8 +88,8 @@ def _dataset(text):
 
 # Each row: config keys, their parser, and the subcommands that read them,
 # each mapped to the group whose constructor receives a key under its own
-# name. A key left out of the file keeps the default of the dataclass (or
-# default_method grid) that owns it.
+# name. A key left out of the file keeps the default of the dataclass that
+# owns it.
 _DATA = dict.fromkeys(("predict", "train", "sweep", "ablate"), "data")
 _TREE = dict.fromkeys(("train", "sweep", "ablate"), "tree")
 _METHOD = dict.fromkeys(("sweep", "ablate"), "method")
@@ -145,7 +145,8 @@ def build_config(command, cfg, seed=0) -> dict:
         elif command in ("sweep", "ablate"):
             # ablate varies rfl whatever the methods are, so rfl always gets the grids
             names = groups["experiment"].get("methods", ExperimentConfig.methods)
-            specs = {name: default_method(name, **groups["method"]) for name in (*names, "rfl")}
+            specs = {name: MethodSpec(name=name, family=name, **groups["method"])
+                     for name in (*names, "rfl")}
             out["experiment"] = ExperimentConfig(
                 **groups["data"], **groups["experiment"], tree=TreeConfig(**groups["tree"]),
                 method_specs=specs, master_seed=seed)

@@ -23,7 +23,7 @@ import numpy as np
 from . import synthetic
 from .booster import BoosterConfig, fit, predict_proba
 from .data import SplitError, TabularDataset, check_unique, load_csv, train_test_split
-from .losses import LossSpec
+from .losses import CATALOG, LossSpec
 from .metrics import accuracy, aucpr
 from .noise import Flip, NoiseSpec, inject_binary, inject_multiclass, write_flip_log
 from .tree import TreeConfig
@@ -54,8 +54,8 @@ class MethodSpec:
 
     name: str
     family: str
-    grid_r: tuple = (0.0,)
-    grid_q: tuple = (0.5,)
+    grid_r: tuple = DEFAULT_GRID_R
+    grid_q: tuple = DEFAULT_GRID_Q
     grid_lr: tuple = DEFAULT_GRID_LR
     grid_rounds: tuple = DEFAULT_GRID_ROUNDS
     eta: float = 1e-2
@@ -63,33 +63,27 @@ class MethodSpec:
     sce_beta: float = 1.0
 
     def __post_init__(self):
-        # every grid point must be a valid booster config before a sweep starts
-        grid = self.candidates()
+        # every grid point must be a valid booster config before a sweep starts,
+        # also the r and q values that candidates() drops for this family
+        grid = self._grid(self.grid_r, self.grid_q)
         if not grid:
             raise ValueError(f"method {self.name!r} has an empty grid")
         for spec, lr, rounds in grid:
             BoosterConfig(loss=spec, learning_rate=lr, n_rounds=rounds)
 
     def candidates(self):
-        """Canonically ordered (LossSpec, lr, rounds) grid."""
-        out = []
-        for r, q, lr, rounds in itertools.product(
-                self.grid_r, self.grid_q, self.grid_lr, self.grid_rounds):
-            spec = LossSpec(family=self.family, r=r, q=q, eta=self.eta,
-                            sce_alpha=self.sce_alpha, sce_beta=self.sce_beta)
-            out.append((spec, lr, rounds))
-        return out
+        """Canonically ordered (LossSpec, lr, rounds) grid. A grid over a
+        parameter the family does not read collapses to r = 0.0 or q = 0.5,
+        so no two candidates are the same loss."""
+        base, focal = CATALOG[self.family]
+        return self._grid(self.grid_r if focal else (0.0,),
+                          self.grid_q if base == "gce" else (0.5,))
 
-
-def default_method(name: str, **overrides) -> MethodSpec:
-    """Grid over only the parameters the family actually uses. ``overrides``
-    replace MethodSpec fields, but ``grid_r`` and ``grid_q`` reach only a
-    family that uses r or q.
-    """
-    uses = {"grid_r": name in ("rfl", "fl"), "grid_q": name in ("rfl", "gce")}
-    fields = {"grid_r": DEFAULT_GRID_R, "grid_q": DEFAULT_GRID_Q, **overrides}
-    return MethodSpec(name=name, family=name,
-                      **{k: v for k, v in fields.items() if uses.get(k, True)})
+    def _grid(self, grid_r, grid_q):
+        return [(LossSpec(family=self.family, r=r, q=q, eta=self.eta,
+                          sce_alpha=self.sce_alpha, sce_beta=self.sce_beta), lr, rounds)
+                for r, q, lr, rounds in itertools.product(
+                    grid_r, grid_q, self.grid_lr, self.grid_rounds)]
 
 
 @dataclass
@@ -126,7 +120,7 @@ class ExperimentConfig:
             raise ValueError("fraction and tune_fraction must be in (0, 1)")
 
     def resolve_method(self, name: str) -> MethodSpec:
-        return self.method_specs.get(name, default_method(name))
+        return self.method_specs.get(name) or MethodSpec(name=name, family=name)
 
 
 def load_experiment_dataset(dataset: str = DEFAULT_DATASET,

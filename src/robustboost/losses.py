@@ -13,7 +13,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FAMILIES = ("cce", "mae", "fl", "gce", "sce", "nce", "rfl")
+# family -> (base loss, whether the focal factor is always on); without it,
+# a family is focused only under focal_wrap with r > 0
+CATALOG = {
+    "cce": ("cce", False),
+    "mae": ("mae", False),
+    "fl": ("cce", True),
+    "gce": ("gce", False),
+    "sce": ("sce", False),
+    "nce": ("nce", False),
+    "rfl": ("gce", True),
+}
+FAMILIES = tuple(CATALOG)
 
 # Raw scores beyond this magnitude saturate the sigmoid to the point where
 # the Hessian underflows to 0 anyway.
@@ -36,7 +47,9 @@ class LossSpec:
     range-checked. ``eta`` is the safeguard scalar: for mae/nce it shifts
     phat -> phat + eta when phat <= 0.5, for sce it clips phat inside the
     log term. ``eta = 0`` disables the safeguard (used to probe the raw
-    losses). ``focal_wrap`` multiplies mae/sce/nce by (1 - phat)**r.
+    losses). ``focal_wrap`` with r > 0 multiplies any family by
+    (1 - phat)**r, so it turns cce into fl and gce into rfl, and leaves
+    fl and rfl as they are.
     """
 
     family: str = "rfl"
@@ -50,15 +63,15 @@ class LossSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise LossConfigError(f"unknown loss family {self.family!r}")
-        if self.r < 0:
-            raise LossConfigError(f"r must be >= 0, got {self.r}")
+        if not 0.0 <= self.r < np.inf:
+            raise LossConfigError(f"r must be finite and >= 0, got {self.r}")
         # q up to and including 1 is accepted; at q=1 gce/rfl(r=0) is exactly mae
         if not 0.0 < self.q <= 1.0:
             raise LossConfigError(f"q must be in (0, 1], got {self.q}")
         if not 0.0 <= self.eta < 0.5:
             raise LossConfigError(f"eta must be in [0, 0.5), got {self.eta}")
-        if self.sce_alpha < 0 or self.sce_beta < 0:
-            raise LossConfigError("sce_alpha and sce_beta must be >= 0")
+        if not (0.0 <= self.sce_alpha < np.inf and 0.0 <= self.sce_beta < np.inf):
+            raise LossConfigError("sce_alpha and sce_beta must be finite and >= 0")
         if self.family == "sce" and self.sce_alpha == 0 and self.sce_beta == 0:
             raise LossConfigError("sce needs at least one nonzero weight")
 
@@ -79,7 +92,7 @@ def make_phat(y, p):
 
 def _safeguarded(spec: LossSpec, phat):
     """Apply the eta perturbation for mae/nce: phat -> phat + eta below 0.5."""
-    if spec.family in ("mae", "nce") and spec.eta > 0.0:
+    if CATALOG[spec.family][0] in ("mae", "nce") and spec.eta > 0.0:
         return np.where(phat <= 0.5, phat + spec.eta, phat)
     return phat
 
@@ -89,13 +102,9 @@ def _gce_value(u, q):
     return -np.expm1(q * np.log(u)) / q
 
 
-# fl and rfl are the focal factor around cce and gce
-_BASE = {"fl": "cce", "rfl": "gce"}
-
-
 def _base(spec: LossSpec, u):
     """Value and first/second derivatives in u of the family's base loss."""
-    fam = _BASE.get(spec.family, spec.family)
+    fam = CATALOG[spec.family][0]
     if fam == "cce":
         return -np.log(u), -1.0 / u, 1.0 / u**2
     if fam == "mae":
@@ -121,18 +130,11 @@ def _base(spec: LossSpec, u):
     return A / D, d1, d2
 
 
-def _focused(spec: LossSpec) -> bool:
-    """Always for fl/rfl; around mae/sce/nce under focal_wrap with r > 0."""
-    if spec.family in _BASE:
-        return True
-    return spec.focal_wrap and spec.family in ("mae", "sce", "nce") and spec.r > 0
-
-
 def _loss(spec: LossSpec, phat):
     """(value, d1, d2) in phat: the base loss G, times F = (1-u)**r when focused."""
     u = _safeguarded(spec, _check_phat(phat))
     G, G1, G2 = _base(spec, u)
-    if not _focused(spec):
+    if not (CATALOG[spec.family][1] or (spec.focal_wrap and spec.r > 0)):
         return G, G1, G2
     r = spec.r
     F = (1.0 - u) ** r

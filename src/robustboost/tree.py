@@ -62,8 +62,8 @@ class TreeConfig:
     max_leaves: int = 31
 
     def __post_init__(self):
-        if self.lam < 0 or self.min_sum_hessian < 0 or self.min_gain < 0:
-            raise ValueError("lam, min_sum_hessian and min_gain must be >= 0")
+        if not all(0.0 <= v < np.inf for v in (self.lam, self.min_sum_hessian, self.min_gain)):
+            raise ValueError("lam, min_sum_hessian and min_gain must be finite and >= 0")
         if self.min_samples_leaf < 1 or self.max_depth < 1 or self.max_leaves < 1:
             raise ValueError("min_samples_leaf, max_depth, max_leaves must be >= 1")
 
@@ -134,15 +134,15 @@ class Tree:
         return cls(**{column: list(d[column]) for column in TREE_FIELDS})
 
     def check(self, n_features: int):
-        """Raise ModelFormatError unless every threshold and value is a number,
-        every default_left a bool, and every descent from the root reads a
-        feature in [0, n_features) and ends at a leaf."""
+        """Raise ModelFormatError unless every threshold and value is a finite
+        number, every default_left a bool, and every descent from the root
+        reads a feature in [0, n_features) and ends at a leaf."""
         n = len(self.value)
         if n == 0 or any(len(getattr(self, column)) != n for column in TREE_FIELDS):
             raise ModelFormatError("a tree's node lists are empty or differ in length")
         for column, kinds in (("threshold", NUMBER), ("value", NUMBER), ("default_left", (bool,))):
             for i, v in enumerate(getattr(self, column)):
-                if type(v) not in kinds:
+                if type(v) not in kinds or not -np.inf < v < np.inf:
                     raise ModelFormatError(f"tree node {i} has {column} {v!r}")
         for i, (f, left, right) in enumerate(zip(self.feature, self.left, self.right)):
             if f != -1 and (type(f) is not int or not 0 <= f < n_features):

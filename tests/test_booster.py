@@ -250,6 +250,34 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=re.escape(named)):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("mutate,literal", [
+        (lambda d: d["trees"][0][0]["threshold"].__setitem__(0, float("nan")), "NaN"),
+        (lambda d: d["trees"][0][0]["value"].__setitem__(1, float("inf")), "Infinity"),
+        (lambda d: d["tree_config"].update(lam=float("-inf")), "-Infinity"),
+        (lambda d: d["tree_config"].update(lam=float("nan")), "NaN"),
+    ])
+    def test_non_finite_literal_rejected(self, mutate, literal):
+        # a NaN threshold would send every present row right
+        model, _ = self.model_and_data()
+        doc = json.loads(serialize(model))
+        mutate(doc)
+        with pytest.raises(ModelFormatError, match=f"non-finite number {re.escape(literal)}$"):
+            deserialize(json.dumps(doc))
+
+    def test_overflowing_number_rejected(self):
+        # 1e400 is valid JSON and parses to inf
+        model, _ = self.model_and_data()
+        doc = json.loads(serialize(model))
+        doc["trees"][0][0]["threshold"][0] = float("inf")
+        with pytest.raises(ModelFormatError, match="tree node 0 has threshold inf"):
+            deserialize(json.dumps(doc).replace("Infinity", "1e400"))
+
+    def test_serialize_refuses_non_finite_numbers(self):
+        model, _ = self.model_and_data()
+        model.trees[0][0].value[1] = float("nan")
+        with pytest.raises(ValueError):
+            serialize(model)
+
     def test_model_records_the_data_schema(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(40, 2))

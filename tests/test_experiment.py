@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from robustboost import experiment, synthetic
 from robustboost.booster import BoosterConfig, fit, predict_proba, serialize
 from robustboost.data import SplitError, TabularDataset, from_arrays, train_test_split
-from robustboost.experiment import (TAG_MODEL, ExperimentConfig, MethodSpec, default_method,
-                                   derive_seed, fit_tuned, run_sweep, task_metric)
+from robustboost.experiment import (TAG_MODEL, ExperimentConfig, MethodSpec, derive_seed,
+                                   fit_tuned, run_sweep, task_metric)
+from robustboost.losses import FAMILIES, loss_value
 from robustboost.metrics import MetricError
 from robustboost.tree import TreeConfig
 
@@ -57,12 +58,27 @@ def test_fit_tuned_does_not_swallow_other_errors(monkeypatch):
                   tune_fraction=0.75, tune_seed=1, model_seed=2)
 
 
-def test_default_method_overrides_reach_only_used_grids():
-    grids = dict(grid_r=(1.5,), grid_q=(0.9,), grid_lr=(0.2,), sce_alpha=5.0)
-    cce, rfl = default_method("cce", **grids), default_method("rfl", **grids)
-    assert (cce.grid_r, cce.grid_q) == (MethodSpec.grid_r, MethodSpec.grid_q)
-    assert (rfl.grid_r, rfl.grid_q) == ((1.5,), (0.9,))
-    assert cce.grid_lr == rfl.grid_lr == (0.2,) and cce.sce_alpha == rfl.sce_alpha == 5.0
+@pytest.mark.parametrize("family", FAMILIES)
+def test_candidates_tune_only_the_parameters_a_family_reads(family):
+    grids = dict(grid_r=(0.5, 2.0), grid_q=(0.3, 0.7), grid_lr=(0.1, 0.2), grid_rounds=(3,))
+    grid = MethodSpec(name=family, family=family, **grids).candidates()
+    assert {spec.r for spec, _, _ in grid} == ({0.5, 2.0} if family in ("fl", "rfl") else {0.0})
+    assert {spec.q for spec, _, _ in grid} == ({0.3, 0.7} if family in ("gce", "rfl") else {0.5})
+    # no two candidates fit the same loss at the same schedule
+    u = np.linspace(0.01, 0.99, 99)
+    assert len({(loss_value(spec, u).tobytes(), lr, rounds) for spec, lr, rounds in grid}) \
+        == len(grid)
+    # a grid the family does not read is still checked
+    for bad in (dict(grid_r=(-1.0,)), dict(grid_q=())):
+        with pytest.raises(ValueError):
+            MethodSpec(name=family, family=family, **{**grids, **bad})
+
+
+def test_resolve_method_takes_a_spec_named_apart_from_its_family():
+    spec = MethodSpec(name="focal", family="rfl", grid_r=(1.0,), grid_q=(0.5,))
+    cfg = ExperimentConfig(methods=("focal", "cce"), method_specs={"focal": spec})
+    assert cfg.resolve_method("focal") is spec
+    assert cfg.resolve_method("cce") == MethodSpec(name="cce", family="cce")
 
 
 @pytest.mark.parametrize("threads", [0, -1, 2])
@@ -129,8 +145,8 @@ def test_staged_tuning_matches_one_fit_per_candidate(n_classes, seed, family, gr
         X[:, 1] > 0.5 if n_classes == 3 else 0)
     X[rng.random(X.shape) < 0.05] = np.nan
     train = from_arrays(X, y, class_names=[str(k) for k in range(n_classes)])
-    method = MethodSpec(name=family, family=family, grid_r=grid_r, grid_lr=tuple(grid_lr),
-                        grid_rounds=tuple(grid_rounds))
+    method = MethodSpec(name=family, family=family, grid_r=grid_r, grid_q=(0.5,),
+                        grid_lr=tuple(grid_lr), grid_rounds=tuple(grid_rounds))
     args = (train, method, TreeConfig(max_leaves=4), n_classes, 0.75, seed + 1, seed + 2)
     model, cfg = fit_tuned(*args)
     ref_model, ref_cfg = exhaustive_fit_tuned(*args)
@@ -139,7 +155,8 @@ def test_staged_tuning_matches_one_fit_per_candidate(n_classes, seed, family, gr
 
 
 def tuned_pick(**grids):
-    _, cfg = fit_tuned(synthetic.make("imbalanced", seed=7), default_method("mae", **grids),
+    _, cfg = fit_tuned(synthetic.make("imbalanced", seed=7),
+                       MethodSpec(name="mae", family="mae", **grids),
                        TreeConfig(max_leaves=8), n_classes=2, tune_fraction=0.75,
                        tune_seed=1, model_seed=2)
     return cfg.learning_rate, cfg.n_rounds
@@ -174,8 +191,8 @@ def test_one_tuning_fit_per_loss_and_learning_rate(monkeypatch):
 
     monkeypatch.setattr(experiment, "fit", counting_fit)
     train = synthetic.make("imbalanced", seed=7)
-    method = default_method("rfl", grid_r=(0.5, 2.0), grid_q=(0.5,), grid_lr=(0.1,),
-                            grid_rounds=(6, 8))
+    method = MethodSpec(name="rfl", family="rfl", grid_r=(0.5, 2.0), grid_q=(0.5,),
+                        grid_lr=(0.1,), grid_rounds=(6, 8))
     model, cfg = fit_tuned(train, method, TreeConfig(max_leaves=8), n_classes=2,
                            tune_fraction=0.75, tune_seed=1, model_seed=2)
     assert [rounds for _, rounds in calls] == [8, 8, cfg.n_rounds]

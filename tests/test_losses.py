@@ -50,6 +50,12 @@ class TestSpecValidation:
         with pytest.raises(LossConfigError, match="eta"):
             LossSpec("mae", eta=0.6)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["r", "sce_alpha", "sce_beta"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(LossConfigError, match=name):
+            LossSpec("sce", **{name: value})
+
     def test_sce_both_zero(self):
         with pytest.raises(LossConfigError):
             LossSpec("sce", sce_alpha=0.0, sce_beta=0.0)
@@ -246,6 +252,14 @@ class TestSingleAlgebra:
     def test_focal_wrap_r0_is_unwrapped(self, family, eta):
         self.assert_same_loss(LossSpec(family, r=0.0, eta=eta, focal_wrap=True),
                               LossSpec(family, eta=eta))
+
+    @given(r=st.floats(0.0, 3.0, exclude_min=True), q=st.floats(0.05, 1.0),
+           eta=st.floats(0.0, 0.2))
+    @settings(max_examples=50, deadline=None)
+    @pytest.mark.parametrize("base,focused", [("cce", "fl"), ("gce", "rfl")])
+    def test_focal_wrap_with_r_is_the_focal_family(self, base, focused, r, q, eta):
+        self.assert_same_loss(LossSpec(base, r=r, q=q, eta=eta, focal_wrap=True),
+                              LossSpec(focused, r=r, q=q, eta=eta))
 
     def test_trainer_and_check_differ_in_eta_band(self):
         # the trainer takes s = phat(1-phat) at the unshifted phat, the check

@@ -66,6 +66,14 @@ class TestLeafFormulas:
             leaf_weight(1.0, -1.0, 1.0)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+@pytest.mark.parametrize("name", ["lam", "min_sum_hessian", "min_gain"])
+def test_tree_config_rejects_negative_and_non_finite(name, value):
+    # every split and leaf test compares against these, and NaN compares false
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        TreeConfig(**{name: value})
+
+
 class TestBestSplit:
     def four_sample_fixture(self):
         cols = columns_from(np.array([[1.0], [2.0], [3.0], [4.0]]))
