@@ -23,6 +23,9 @@ Usage, from the repository root:
     PYTHONPATH=src python scripts/output_digests.py > digests.txt
 
 It writes only to a temporary directory and runs in well under a minute.
+Comparing the listing of a run on one core (``taskset -c 0``), where every
+sweep cell and every multi-class fit runs in-process, with that of a run on
+several cores checks the worker pools.
 """
 
 import contextlib

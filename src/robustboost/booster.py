@@ -13,6 +13,7 @@ import numpy as np
 
 from .data import TabularDataset, check_unique
 from .losses import LossSpec, grad_hess, loss_value, make_phat, sigmoid
+from .pool import fork_pool
 from .tree import (NUMBER, ModelFormatError, Tree, TreeConfig, grow_tree, presort,
                    require_fields)
 
@@ -81,7 +82,7 @@ def _mean_loss(spec: LossSpec, targets, z) -> float:
     """Mean over score columns of each column's mean loss on its 0/1 targets."""
     means = []
     for k, yk in enumerate(targets):
-        means.append(np.mean(loss_value(spec, make_phat(yk, sigmoid(z[:, k])))))
+        means.append(np.mean(loss_value(spec, make_phat(yk, sigmoid(z[k])))))
     return float(np.mean(means))
 
 
@@ -92,11 +93,31 @@ def _sample_rows(rng, n, subsample):
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
+def _grow_column(state, task):
+    """Score column k's tree for the round's ``rows``, grown from the column's
+    scores ``zk``, and the tree's output on every training row."""
+    columns, order, targets, config = state
+    k, zk, rows = task
+    g, h = grad_hess(config.loss, targets[k], zk)
+    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+        raise AssertionError(
+            f"non-finite gradient/Hessian from the loss layer in score column {k}")
+    tree = grow_tree(columns, order, rows, g, h, config.tree)
+    return tree, tree.predict(columns)
+
+
 def fit(data: TabularDataset, config: BoosterConfig,
         valid: Optional[TabularDataset] = None) -> BoosterModel:
-    """Train a boosted ensemble on an (n, n_cols) score array: one column
-    with targets [y] for binary, one one-vs-all column per class otherwise.
+    """Train a boosted ensemble on n_cols score columns: one column with
+    targets [y] for binary, one one-vs-all column per class otherwise.
     A round builds every column's tree from the scores frozen at its start.
+
+    A multi-class fit grows each round's class trees on one forked worker
+    per usable core, never more than there are classes, started once for
+    the fit; on one core, and inside a sweep's worker, it grows them in this
+    process. No setting changes this, and the model is the same either way.
+    ``valid`` is matched to the training data's features and classes by
+    name (``align``).
     """
     y = np.asarray(data.labels)
     if data.n_samples == 0:
@@ -121,38 +142,36 @@ def fit(data: TabularDataset, config: BoosterConfig,
     model = BoosterModel(trees=[[] for _ in targets], config=config,
                          feature_names=list(data.feature_names),
                          class_names=list(data.class_names))
-    z = np.zeros((n, len(targets)))
+    z = np.zeros((len(targets), n))  # one contiguous row of scores per column
     if valid is not None:
-        valid_targets = column_targets(np.asarray(valid.labels))
-        z_valid = np.zeros((valid.n_samples, len(targets)))
+        valid = align(model, valid)
+        valid_targets = column_targets(valid.labels)
+        z_valid = np.zeros((len(targets), valid.n_samples))
 
     order = presort(data.columns, np.arange(n))  # every tree filters this one sort
     best_score = np.inf
     best_round = None
-    for t in range(config.n_rounds):
-        rows = _sample_rows(rng, n, config.subsample)
-        new_trees = []
-        for k, yk in enumerate(targets):
-            g, h = grad_hess(config.loss, yk, z[:, k])
-            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-                raise AssertionError("non-finite gradient/Hessian from the loss layer")
-            new_trees.append(grow_tree(data.columns, order, rows, g, h, config.tree))
-        for k, tree in enumerate(new_trees):
-            model.trees[k].append(tree)
-            z[:, k] = z[:, k] + config.learning_rate * tree.predict(data.columns)
-            if valid is not None:
-                z_valid[:, k] = z_valid[:, k] + config.learning_rate * tree.predict(valid.columns)
-        model.train_loss_history.append(_mean_loss(config.loss, targets, z))
+    # workers inherit the per-fit state; a task sends a column's scores and the rows
+    with fork_pool((data.columns, order, targets, config), len(targets)) as run:
+        for t in range(config.n_rounds):
+            rows = _sample_rows(rng, n, config.subsample)
+            grown = run(_grow_column, [(k, z[k], rows) for k in range(len(targets))])
+            for k, (tree, out) in enumerate(grown):
+                model.trees[k].append(tree)
+                z[k] = z[k] + config.learning_rate * out
+                if valid is not None:
+                    z_valid[k] = z_valid[k] + config.learning_rate * tree.predict(valid.columns)
+            model.train_loss_history.append(_mean_loss(config.loss, targets, z))
 
-        if valid is not None:
-            v = _mean_loss(config.loss, valid_targets, z_valid)
-            model.valid_loss_history.append(v)
-            if v < best_score:
-                best_score = v
-                best_round = t
-            if (config.early_stopping_rounds is not None and best_round is not None
-                    and t - best_round >= config.early_stopping_rounds):
-                break
+            if valid is not None:
+                v = _mean_loss(config.loss, valid_targets, z_valid)
+                model.valid_loss_history.append(v)
+                if v < best_score:
+                    best_score = v
+                    best_round = t
+                if (config.early_stopping_rounds is not None and best_round is not None
+                        and t - best_round >= config.early_stopping_rounds):
+                    break
 
     if valid is not None and config.early_stopping_rounds is not None and best_round is not None:
         model.trees = [lst[: best_round + 1] for lst in model.trees]

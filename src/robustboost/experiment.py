@@ -26,6 +26,7 @@ from .data import SplitError, TabularDataset, check_unique, load_csv, train_test
 from .losses import CATALOG, LossSpec
 from .metrics import accuracy, aucpr
 from .noise import Flip, NoiseSpec, inject_binary, inject_multiclass, write_flip_log
+from .pool import fork_pool
 from .tree import TreeConfig
 
 TAG_SPLIT, TAG_NOISE, TAG_TUNE, TAG_MODEL = 1, 2, 3, 4
@@ -212,10 +213,13 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
     The cells run on one worker process per usable core, never more than
     there are cells; with one worker, in this process. A cell holds only its
     split's row indices, its noisy labels and its seeds: a forked worker
-    takes the rows from the dataset it inherits. Every cell is seeded on its
-    own, so the files do not depend on the worker count. Every flip log is
-    written before the first cell runs; if cells fail, the first failing one
-    in cell order raises.
+    takes the rows from the dataset it inherits. A multi-class fit in a
+    worker grows its class trees in that worker, one after another; in this
+    process it may start its own pool (see ``booster.fit``). No setting
+    changes the worker counts. Every cell is seeded on its own, so the files
+    do not depend on the worker count. Every flip log is written before the
+    first cell runs; if cells fail, the first failing one in cell order
+    raises.
     """
     os.makedirs(out_dir, exist_ok=True)
     if dataset is None:
@@ -247,8 +251,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
                               derive_seed(cfg.master_seed, TAG_TUNE, gi, rep, mi),
                               derive_seed(cfg.master_seed, TAG_MODEL, gi, rep, mi)))
 
-    results = [SweepRow(dataset_name, name, gamma, rep, *scored)
-               for (name, gamma, rep), scored in zip(keys, _run_cells(dataset, cells))]
+    with fork_pool(dataset, len(cells)) as run:
+        scored = run(_run_cell, cells)
+    results = [SweepRow(dataset_name, name, gamma, rep, *cell)
+               for (name, gamma, rep), cell in zip(keys, scored)]
     results.sort(key=lambda r: (r.dataset, r.method, r.gamma, r.repeat))
     _write_results(results, os.path.join(out_dir, "results.csv"))
     _write_summary(results, os.path.join(out_dir, "summary.csv"))
@@ -267,36 +273,6 @@ def _run_cell(dataset, cell):
     params = (f"family={used.loss.family};r={used.loss.r};q={used.loss.q};"
               f"lr={used.learning_rate};rounds={used.n_rounds}")
     return metric_name, value, params
-
-
-_worker_dataset = None  # the sweep's dataset, in a pool worker
-
-
-def _init_worker(dataset):
-    global _worker_dataset
-    _worker_dataset = dataset
-
-
-def _run_worker_cell(cell):
-    return _run_cell(_worker_dataset, cell)
-
-
-def _run_cells(dataset, cells):
-    """``_run_cell`` of every cell, in cell order."""
-    # the cores this process may run on; where that is unknown, run in-process
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(usable, len(cells))
-    if workers <= 1:
-        return [_run_cell(dataset, cell) for cell in cells]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, named because Python 3.14 defaults to another method, and safe since
-    # the sweep starts no threads: a forked worker starts without importing numpy
-    # again and inherits the initializer's arguments, so the dataset is never pickled
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=(dataset,)) as pool:
-        return list(pool.map(_run_worker_cell, cells))
 
 
 def run_ablation(cfg: ExperimentConfig, out_dir: str, dataset=None, dataset_name=None):

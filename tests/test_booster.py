@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +17,12 @@ from robustboost.booster import (MODEL_FORMAT_VERSION, BoosterConfig, BoosterCon
                                  DataError, ModelFormatError, SchemaMismatchError,
                                  align, deserialize, fit, predict_proba, predict_raw,
                                  serialize)
-from robustboost.data import from_arrays
+from robustboost.data import TabularDataset, from_arrays
 from robustboost.losses import FAMILIES, LossSpec
 from robustboost.metrics import accuracy, aucpr
 from robustboost.tree import TREE_FIELDS, TreeConfig, grow_tree, presort
+
+from pools import record_pools
 
 CCE = LossSpec("cce")
 
@@ -144,6 +148,34 @@ class TestValidationAndEarlyStopping:
         assert len(model.trees[0]) < 200
         best = min(model.valid_loss_history)
         assert model.valid_loss_history[model.best_round] == best
+
+    def named_split(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(120, 3))
+        X[rng.random(X.shape) < 0.1] = np.nan
+        y = (np.nan_to_num(X[:, 0]) + 0.5 * np.nan_to_num(X[:, 2]) > 0).astype(int)
+        names = dict(feature_names=["a", "b", "c"], class_names=["neg", "pos"])
+        return from_arrays(X[:80], y[:80], **names), X[80:], y[80:]
+
+    def test_valid_is_matched_to_the_training_data_by_name(self):
+        train, X, y = self.named_split()
+        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=6)
+        ordered = from_arrays(X, y, feature_names=["a", "b", "c"], class_names=["neg", "pos"])
+        reordered = from_arrays(X[:, ::-1], 1 - y, feature_names=["c", "b", "a"],
+                                class_names=["pos", "neg"])
+        history = fit(train, cfg, valid=ordered).valid_loss_history
+        assert fit(train, cfg, valid=reordered).valid_loss_history == history
+
+    @pytest.mark.parametrize("features,classes,named", [
+        (["a", "b", "d"], ["neg", "pos"], r"missing \['c'\], extra \['d'\]"),
+        (["a", "b", "c"], ["neg", "pos", "maybe"], r"labels \['maybe'\]"),
+    ])
+    def test_valid_with_another_schema_raises(self, features, classes, named):
+        train, X, y = self.named_split()
+        y = np.where(np.arange(y.size) == 0, len(classes) - 1, y)  # every class has a row
+        valid = from_arrays(X, y, feature_names=features, class_names=classes)
+        with pytest.raises(SchemaMismatchError, match=named):
+            fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=2), valid=valid)
 
 
 class TestSerialization:
@@ -435,3 +467,100 @@ def test_zero_feature_fit_grows_root_leaves(n_classes, subsample):
     assert all(tree.feature == [-1] for lst in model.trees for tree in lst)
     raw = predict_raw(model, data)
     assert np.all(raw == raw[:1])
+
+
+def multiclass_split(seed, n_classes, missing_rate=0.1, n=120, n_features=3):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(n, n_features)), 1)
+    X[rng.random(X.shape) < missing_rate] = np.nan
+    y = rng.integers(0, n_classes, size=n)
+    y[:n_classes] = np.arange(n_classes)  # every class in the training rows
+    names = [str(k) for k in range(n_classes)]
+    cut = 2 * n // 3
+    return (from_arrays(X[:cut], y[:cut], class_names=names),
+            from_arrays(X[cut:], y[cut:], class_names=names))
+
+
+@settings(max_examples=10, deadline=None)
+@given(n_classes=st.integers(3, 5), seed=st.integers(0, 2**16),
+       family=st.sampled_from(FAMILIES), missing_rate=st.floats(0.0, 0.3),
+       subsample=st.sampled_from([0.6, 1.0]), early_stopping_rounds=st.sampled_from([None, 1, 3]))
+def test_pooled_fit_equals_the_in_process_fit(n_classes, seed, family, missing_rate, subsample,
+                                              early_stopping_rounds):
+    train, valid = multiclass_split(seed, n_classes, missing_rate)
+    cfg = BoosterConfig(loss=LossSpec(family), tree=tiny_tree(lam=1.0), learning_rate=0.5,
+                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample,
+                        early_stopping_rounds=early_stopping_rounds)
+
+    def fit_on(cores):
+        with pytest.MonkeyPatch.context() as patch:
+            pools = record_pools(patch, cores)
+            model = fit(train, cfg, valid=valid)
+        assert pools == ([] if cores == 1 else [min(cores, n_classes)])
+        return (serialize(model), np.array(model.train_loss_history).tobytes(),
+                np.array(model.valid_loss_history).tobytes(), model.best_round)
+
+    reference = fit_on(1)
+    assert fit_on(2) == reference
+    assert fit_on(n_classes + 2) == reference
+
+
+@pytest.mark.parametrize("n_classes,cores", [(2, 4), (3, 1)])
+def test_a_binary_or_one_core_fit_starts_no_pool(monkeypatch, n_classes, cores):
+    pools = record_pools(monkeypatch, cores)
+    train, _ = multiclass_split(0, n_classes)
+    fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=2, n_classes=n_classes))
+    assert pools == []
+
+
+def test_a_non_finite_column_raises_in_the_caller_and_leaves_no_worker(monkeypatch, tmp_path):
+    pools = record_pools(monkeypatch, cores=2)
+    train, _ = multiclass_split(1, 3)
+    real, late = booster_module.grad_hess, tmp_path / "column_2_failed"
+
+    def grad_hess(spec, yk, zk):
+        g, h = real(spec, yk, zk)
+        k = int(train.labels[np.argmax(yk)])  # the class whose rows are 1 in yk
+        if k == 1:  # fail only after column 2 has failed
+            deadline = time.monotonic() + 60
+            while not late.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            return np.full_like(g, np.nan), h
+        if k == 2:
+            late.touch()
+            return g, np.full_like(h, np.inf)
+        return g, h
+
+    monkeypatch.setattr(booster_module, "grad_hess", grad_hess)
+    with pytest.raises(AssertionError, match="from the loss layer in score column 1$"):
+        fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=3, n_classes=3))
+    assert late.exists()
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_fit_workers_take_the_data_they_inherit(monkeypatch):
+    pools = record_pools(monkeypatch, cores=2)
+    train, _ = multiclass_split(2, 3, n=300, n_features=4)
+    payloads, dumps = [], multiprocessing.reduction.ForkingPickler.dumps
+
+    def recording_dumps(cls, obj, protocol=None):
+        payload = dumps(obj, protocol)
+        payloads.append(bytes(payload))
+        return payload
+
+    def no_pickle(self):
+        raise AssertionError("the dataset was pickled")
+
+    monkeypatch.setattr(multiprocessing.reduction.ForkingPickler, "dumps",
+                        classmethod(recording_dumps))
+    monkeypatch.setattr(TabularDataset, "__reduce__", no_pickle, raising=False)
+    n_rounds = 3
+    fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=n_rounds, n_classes=3))
+    assert pools == [2]
+    assert len(payloads) >= n_rounds * 3  # every task went through the recorder
+    sent = b"".join(payloads)
+    order = presort(train.columns, np.arange(train.n_samples))
+    targets = [(train.labels == k).astype(np.int64) for k in range(3)]
+    inherited = [*train.columns, *order.T, *targets]  # each feature's values and sort
+    assert not [block for block in inherited if block.tobytes() in sent]

@@ -19,6 +19,8 @@ from robustboost.losses import FAMILIES, loss_value
 from robustboost.metrics import MetricError
 from robustboost.tree import TreeConfig
 
+from pools import record_pools
+
 TUNED_CCE = MethodSpec(name="cce", family="cce", grid_lr=(0.1, 0.3), grid_rounds=(3,))
 
 
@@ -303,21 +305,6 @@ def test_sweep_splits_once_per_repeat_and_draws_noise_once_per_level(monkeypatch
     assert len(draws) == len(set(draws)) == 4
 
 
-def record_pools(monkeypatch, cores):
-    """Pretend this process may run on ``cores`` cores, and record the
-    worker count of every process pool a sweep builds."""
-    pools, real = [], concurrent.futures.ProcessPoolExecutor
-
-    class RecordingPool(real):
-        def __init__(self, max_workers, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return pools
-
-
 @pytest.mark.parametrize("n_classes", [2, 3])
 def test_sweep_files_do_not_depend_on_the_worker_count(monkeypatch, tmp_path, n_classes):
     cfg = sweep_config((0.0, 0.3), repeats=2, master_seed=n_classes)
@@ -381,6 +368,16 @@ def test_one_usable_core_starts_no_pool(monkeypatch, tmp_path):
     rows = run_sweep(sweep_config((0.0, 0.3), repeats=1), str(tmp_path),
                      dataset=sweep_dataset(2, seed=0), dataset_name="d")
     assert len(rows) == 4
+
+
+def test_a_multiclass_sweep_builds_only_its_own_pool(monkeypatch, tmp_path):
+    # record_pools raises if a fit in a sweep worker builds a pool for its class trees
+    pools = record_pools(monkeypatch, cores=2)
+    rows = run_sweep(sweep_config((0.0, 0.3), repeats=1), str(tmp_path),
+                     dataset=sweep_dataset(3, seed=0), dataset_name="d")
+    assert len(rows) == 4
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
 
 
 def test_workers_take_the_rows_from_the_dataset_they_inherit(monkeypatch, tmp_path):
