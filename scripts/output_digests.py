@@ -25,7 +25,10 @@ Usage, from the repository root:
 It writes only to a temporary directory and runs in well under a minute.
 Comparing the listing of a run on one core (``taskset -c 0``), where every
 sweep cell and every multi-class fit runs in-process, with that of a run on
-several cores checks the worker pools.
+several cores checks the worker pools. ``tests/test_output_digests.py`` does
+both through ``listing()`` and compares them with the committed listing
+``tests/output_digests.txt``; a change meant to move outputs regenerates that
+file and names the lines that moved.
 """
 
 import contextlib
@@ -146,16 +149,16 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def emit(name, data: bytes):
-    print(f"{name} {sha256(data)}")
+def digest_line(name, data: bytes):
+    return f"{name} {sha256(data)}"
 
 
-def emit_dir(prefix, path):
+def dir_lines(prefix, path):
     for root, _, files in sorted(os.walk(path)):
         for name in sorted(files):
             full = os.path.join(root, name)
             with open(full, "rb") as fh:
-                emit(f"{prefix}/{os.path.relpath(full, path)}", fh.read())
+                yield digest_line(f"{prefix}/{os.path.relpath(full, path)}", fh.read())
 
 
 def run_cli(argv):
@@ -184,8 +187,8 @@ def cli_digests(tmp):
     run_cli(["train", "--config", cfg, "--out", os.path.join(tmp, "train"), "--seed", "1"])
     run_cli(["predict", "--model", os.path.join(tmp, "train", "model.json"),
              "--data", "synthetic:separable", "--out", os.path.join(tmp, "predict")])
-    emit_dir("train", os.path.join(tmp, "train"))
-    emit_dir("predict", os.path.join(tmp, "predict"))
+    yield from dir_lines("train", os.path.join(tmp, "train"))
+    yield from dir_lines("predict", os.path.join(tmp, "predict"))
 
     csv_path = os.path.join(tmp, "na.csv")
     dump_csv(noisy_dataset(np.random.default_rng(500), 500, 2, missing_rate=0.1), csv_path)
@@ -195,8 +198,8 @@ def cli_digests(tmp):
     run_cli(["train", "--config", cfg, "--out", os.path.join(tmp, "train_na"), "--seed", "1"])
     run_cli(["predict", "--model", os.path.join(tmp, "train_na", "model.json"),
              "--data", csv_path, "--out", os.path.join(tmp, "predict_na")])
-    emit_dir("train_na", os.path.join(tmp, "train_na"))
-    emit_dir("predict_na", os.path.join(tmp, "predict_na"))
+    yield from dir_lines("train_na", os.path.join(tmp, "train_na"))
+    yield from dir_lines("predict_na", os.path.join(tmp, "predict_na"))
 
 
 def sweep_digests(tmp):
@@ -208,11 +211,11 @@ def sweep_digests(tmp):
         with open(cfg, "w") as fh:
             fh.write(text)
         run_cli([command, "--config", cfg, "--out", os.path.join(tmp, name), "--seed", seed])
-        emit_dir(name, os.path.join(tmp, name))
+        yield from dir_lines(name, os.path.join(tmp, name))
     for name in ("sweep", "ablate"):
         out = os.path.join(tmp, f"{name}_report")
         run_cli(["report", "--results", os.path.join(tmp, name, "results.csv"), "--out", out])
-        emit_dir(f"{name}_report", out)
+        yield from dir_lines(f"{name}_report", out)
 
 
 def fit_digests():
@@ -226,19 +229,25 @@ def fit_digests():
             subsample=subsample, early_stopping_rounds=patience)
         model = fit(train, config, valid=valid)
         name = f"fit{i}_{family}_{n_classes}class"
-        emit(f"{name}/predict_raw_train", predict_raw(model, train).tobytes())
-        emit(f"{name}/predict_raw_valid", predict_raw(model, valid).tobytes())
-        emit(f"{name}/serialize", serialize(model).encode())
-        emit(f"{name}/train_loss_history", np.array(model.train_loss_history).tobytes())
-        emit(f"{name}/valid_loss_history", np.array(model.valid_loss_history).tobytes())
-        emit(f"{name}/best_round", repr(model.best_round).encode())
+        for part, data in (
+                ("predict_raw_train", predict_raw(model, train).tobytes()),
+                ("predict_raw_valid", predict_raw(model, valid).tobytes()),
+                ("serialize", serialize(model).encode()),
+                ("train_loss_history", np.array(model.train_loss_history).tobytes()),
+                ("valid_loss_history", np.array(model.valid_loss_history).tobytes()),
+                ("best_round", repr(model.best_round).encode())):
+            yield digest_line(f"{name}/{part}", data)
+
+
+def listing():
+    """The listing's ``name sha256`` lines, in order."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [*cli_digests(tmp), *sweep_digests(tmp)]
+    return lines + list(fit_digests())
 
 
 def main():
-    with tempfile.TemporaryDirectory() as tmp:
-        cli_digests(tmp)
-        sweep_digests(tmp)
-    fit_digests()
+    print("\n".join(listing()))
 
 
 if __name__ == "__main__":

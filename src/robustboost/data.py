@@ -97,8 +97,8 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
 
 def load_csv(path, label_column) -> TabularDataset:
     """Load a headered CSV. Feature cells must be finite numbers or a missing
-    token, which becomes NaN; labels are encoded by first appearance. No
-    imputation is performed.
+    token, which becomes NaN; labels must be present and are encoded by first
+    appearance. No imputation is performed.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -116,6 +116,9 @@ def load_csv(path, label_column) -> TabularDataset:
         for row_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvParseError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+            if row[label_idx] in DEFAULT_MISSING_TOKENS:
+                raise CsvParseError(f"{path}: row {row_no}, column {label_column!r}: "
+                                    f"missing label {row[label_idx]!r}")
             raw_labels.append(row[label_idx])
             vrow = []
             for i, cell in enumerate(row):

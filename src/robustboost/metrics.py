@@ -16,15 +16,20 @@ class MetricError(ValueError):
 
 
 def aucpr(scores, labels) -> float:
-    """Average precision of a binary ranking.
+    """Average precision of a binary ranking; every label is 0 or 1.
 
     Precision is evaluated at the end of each tied-score group and weighted
     by that group's recall increment.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
+    if scores.shape != labels.shape:
+        raise MetricError(f"aucpr has {scores.shape} scores for {labels.shape} labels")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
+    if n_pos + n_neg != labels.size:
+        other = labels[(labels != 0) & (labels != 1)]
+        raise MetricError(f"aucpr labels must be 0 or 1, found {other.tolist()[0]!r}")
     if n_pos == 0 or n_neg == 0:
         raise MetricError("aucpr needs both classes present")
     if np.isnan(scores).any():

@@ -13,6 +13,14 @@ the NaN suffix sent right in one pass and, only if the node has missing rows,
 with it sent left in a second; the second wins only with a strictly higher
 gain. Gain ties go to the lowest feature, then missing right, then the lowest
 threshold.
+
+A pass takes the first argmax of its unmasked gains: the first NaN if there
+is one, else the first of the tied maxima. If that cut is admissible (a
+finite gain, both Hessian sums at least ``min_sum_hessian``, both Newton
+denominators farther than DENOM_EPS from zero), it is also the first max
+after the inadmissible cuts are masked to -inf, because masking lowers no
+gain and leaves this one as it is. Only otherwise does the pass build the
+mask and take the argmax again.
 """
 
 from __future__ import annotations
@@ -120,9 +128,10 @@ class Tree:
             if f == -1:
                 out[rows] = self.value[node]
                 continue
-            go_left = route_left(columns[f][rows], self.default_left[node], self.threshold[node])
-            stack.append((self.left[node], rows[go_left]))
-            stack.append((self.right[node], rows[~go_left]))
+            go_left = route_left(columns[f].take(rows), self.default_left[node],
+                                 self.threshold[node])
+            stack.append((self.left[node], rows.compress(go_left)))
+            stack.append((self.right[node], rows.compress(~go_left)))
         return out
 
     def to_dict(self):
@@ -177,12 +186,12 @@ def partition_sorted(order, keep, n_kept):
     """Split the presort matrix ``order`` into the ``n_kept`` rows for which
     ``keep`` (indexed by row id) holds and the rest, each a presort matrix:
     every feature's list, filtered in order, stays sorted."""
-    by_feature = order.T
-    kept = keep[by_feature]
-    n_features, n = by_feature.shape
+    n, n_features = order.shape
+    flat = order.T.ravel()  # feature by feature; a view of a presort matrix
+    kept = keep.take(flat)
     # explicit row counts: with no features, -1 cannot be resolved
-    return (by_feature[kept].reshape(n_features, n_kept).T,
-            by_feature[~kept].reshape(n_features, n - n_kept).T)
+    return (flat.compress(kept).reshape(n_features, n_kept).T,
+            flat.compress(~kept).reshape(n_features, n - n_kept).T)
 
 
 def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
@@ -232,11 +241,16 @@ def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]
         dl, dr = HL + config.lam, HR + config.lam
         # near-zero denominators are masked below; best_split silences their warnings
         gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
-        # a NaN that np.minimum passes on makes the gain NaN too
-        bad = ((np.minimum(HL, HR) < config.min_sum_hessian)
-               | (np.minimum(np.abs(dl), np.abs(dr)) <= DENOM_EPS) | ~np.isfinite(gain))
-        gain[bad] = -np.inf
-        k = int(gain.argmax())  # the first max: the lowest threshold
+        # the first max, or the first NaN; if admissible, it is also the first
+        # max after masking (see the module docstring)
+        k = int(gain.argmax())
+        if not (np.isfinite(gain[k]) and min(HL[k], HR[k]) >= config.min_sum_hessian
+                and min(abs(dl[k]), abs(dr[k])) > DENOM_EPS):
+            # a NaN that np.minimum passes on makes the gain NaN too
+            bad = ((np.minimum(HL, HR) < config.min_sum_hessian)
+                   | (np.minimum(np.abs(dl), np.abs(dr)) <= DENOM_EPS) | ~np.isfinite(gain))
+            gain[bad] = -np.inf
+            k = int(gain.argmax())  # the first admissible max: the lowest threshold
         if gain[k] > best[0]:
             best = (gain[k], start + k, shift, GL[k], HL[k], GR[k], HR[k])
     if best[0] < config.min_gain or not np.isfinite(best[0]):
@@ -258,7 +272,7 @@ def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandida
     with np.errstate(divide="ignore", invalid="ignore"):
         for f in range(len(columns)):
             ids = rows[:, f]
-            cand = _scan_feature(f, columns[f][ids], g[ids], h[ids], config)
+            cand = _scan_feature(f, columns[f].take(ids), g.take(ids), h.take(ids), config)
             if cand is not None and (best is None or cand.gain > best.gain):
                 best = cand
     return best
@@ -304,7 +318,7 @@ def grow_tree(columns, order, rows, g, h, config: TreeConfig) -> Tree:
     while heap and n_leaves < config.max_leaves:
         _, _, node, node_rows, depth, cand = heapq.heappop(heap)
         ids = node_rows[:, cand.feature]
-        side[ids] = route_left(columns[cand.feature][ids], cand.default_left, cand.threshold)
+        side[ids] = route_left(columns[cand.feature].take(ids), cand.default_left, cand.threshold)
 
         tree.feature[node] = cand.feature
         tree.threshold[node] = cand.threshold

@@ -251,6 +251,13 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         assert "'foo'" in capsys.readouterr().err
 
+    def test_missing_label_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "unlabelled.csv"
+        data.write_text("a,b,label\n1,2,pos\n3,4,neg\n5,6,\n7,8,NA\n")
+        cfg = write_config(tmp_path, f"dataset = {data}\n")
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert "row 4, column 'label': missing label ''" in capsys.readouterr().err
+
     def test_predict_feature_count_mismatch_exits_1(self, tmp_path):
         out = str(tmp_path / "run")
         assert main(["train", "--config", write_config(tmp_path, TRAIN_CFG),

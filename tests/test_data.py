@@ -53,6 +53,13 @@ class TestLoadCsv:
             with pytest.raises(CsvParseError, match="row 3.*'b'"):
                 load_csv(path, label_column="label")
 
+    @pytest.mark.parametrize("cell", ["", "NA", "NaN", "?"])
+    def test_missing_label_names_location(self, tmp_path, cell):
+        # a missing label is not a class: it used to load as class name ''
+        path = write(tmp_path, f"a,b,label\n1,2,pos\n3,4,neg\n5,6,{cell}\n7,8,pos\n")
+        with pytest.raises(CsvParseError, match=f"row 4, column 'label': missing label '{cell}'"):
+            load_csv(path, label_column="label")
+
     @given(n=st.integers(1, 40), m=st.integers(1, 5), seed=st.integers(0, 2**16),
            nan_rate=st.sampled_from([0.0, 0.2, 0.7, 1.0]))
     @settings(max_examples=40, deadline=None)

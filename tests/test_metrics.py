@@ -75,6 +75,19 @@ class TestAucpr:
         with pytest.raises(MetricError):
             aucpr([0.1, 0.2], [0, 0])
 
+    @pytest.mark.parametrize("labels,named", [([1, 0, 2, 0], "2"), ([1, 0, -1, 0], "-1"),
+                                              ([1.0, 0.0, 0.5, 0.0], "0.5")])
+    def test_label_outside_0_1_raises(self, labels, named):
+        # a 2 is neither a positive nor a negative: counting it as a negative gave 1.0
+        with pytest.raises(MetricError, match=f"0 or 1, found {named}$"):
+            aucpr([0.9, 0.1, 0.5, 0.7], labels)
+
+    @pytest.mark.parametrize("n_scores", [2, 4])
+    def test_length_mismatch_raises(self, n_scores):
+        # two scores for three labels read as 1.0, four raised an IndexError
+        with pytest.raises(MetricError, match=f"\\({n_scores},\\) scores for \\(3,\\) labels"):
+            aucpr([0.9, 0.1, 0.5, 0.7][:n_scores], [1, 0, 0])
+
     def test_nan_score_raises(self):
         with pytest.raises(MetricError, match="NaN"):
             aucpr([0.1, np.nan, 0.3], [0, 1, 1])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from robustboost import tree as tree_module
 from robustboost.tree import (DENOM_EPS, TREE_FIELDS, DegenerateDenominatorError, GainScenario,
                               SplitCandidate, Tree, TreeConfig, decomposed_gain, best_split,
-                              grow_tree, leaf_weight, presort)
+                              grow_tree, leaf_weight, partition_sorted, presort)
 
 
 def columns_from(X):
@@ -493,29 +493,89 @@ def test_split_scan_matches_the_reference_bitwise(data, n, m, lam, min_sum_hessi
         reference_best_split(cols, node, g, h, config))
 
 
-@pytest.mark.parametrize("x,g,h,lam,min_samples_leaf", [
+# masked: whether a pass's unmasked first max fails the admissibility check, so
+# that _scan_feature builds the mask of inadmissible cuts (two np.minimum calls)
+EDGE_CASES = [
     # after the third row the left sum of h is a rounding residue, 5.6e-17, not 0
-    ([0, 1, 2, 3], [1, 1, 1, -1], [0.1, 0.2, -0.3, 1], 0.0, 1),
+    ([0, 1, 2, 3], [1, 1, 1, -1], [0.1, 0.2, -0.3, 1], 0.0, 0.0, 1, True),
     # after the second row the right sum of h is 2.8e-17
-    ([0, 1, 2, 3], [1, 1, 1, 1], [0.1, 0.1, 0.1, -0.1], 0.0, 1),
+    ([0, 1, 2, 3], [1, 1, 1, 1], [0.1, 0.1, 0.1, -0.1], 0.0, 0.0, 1, True),
     # the best split leaves one row left, whose g is -0.0: so is g_left
-    ([0, 1, 2, 3], [-0.0, 2, 2, 2], [1, 1, 1, 1], 1.0, 1),
+    ([0, 1, 2, 3], [-0.0, 2, 2, 2], [1, 1, 1, 1], 1.0, 0.0, 1, False),
     # the one split, of gain 0, leaves one row left, whose g and h are -0.0
-    ([0, 1], [-0.0, 1], [-0.0, 1], 1.0, 1),
+    ([0, 1], [-0.0, 1], [-0.0, 1], 1.0, 0.0, 1, False),
     # tied values: the best cut, after two rows, is the first one min_samples_leaf allows
-    ([0, 0, 1, 1, 2, np.nan], [-2, -2, 1, 1, 1, 0], [1, 1, 1, 1, 1, 1], 1.0, 2),
+    ([0, 0, 1, 1, 2, np.nan], [-2, -2, 1, 1, 1, 0], [1, 1, 1, 1, 1, 1], 1.0, 0.0, 2, False),
     # tied values: with the missing rows left, the highest gain leaves one row right
-    ([0, 1, 1, 2, np.nan, np.nan], [1, 1, 1, -5, 1, 1], [1, 1, 1, 1, 1, 1], 1.0, 2),
-])
-def test_split_scan_edge_cases(x, g, h, lam, min_samples_leaf):
+    ([0, 1, 1, 2, np.nan, np.nan], [1, 1, 1, -5, 1, 1], [1, 1, 1, 1, 1, 1], 1.0, 0.0, 2, False),
+    # the first max is NaN: after the third row the sum of h is inf, the right one
+    # inf - inf, and only the gain's finiteness rules the cut out
+    ([0, 1, 2, 3], [2, 1, 1, 1], [1, 1e308, 1e308, 1], 1.0, 0.0, 1, True),
+    # the first max is +inf: 1 / 1e-320 overflows
+    ([0, 1, 2, 3], [1, 1, -1, 1], [1e-320, 1, 1, 1], 0.0, 0.0, 1, True),
+    # the first max's left denominator is DENOM_EPS itself, which is too near zero
+    ([0, 1, 2, 3], [1, 1, -1, 1], [DENOM_EPS, 1, 1, 1], 0.0, 0.0, 1, True),
+    # the first max's left sum of h is below min_sum_hessian ...
+    ([0, 1, 2, 3], [-4, 1, 1, 1], [0.25, 1, 1, 1], 1.0, 0.5, 1, True),
+    # ... or equal to it, which admits it
+    ([0, 1, 2, 3], [-4, 1, 1, 1], [0.25, 1, 1, 1], 1.0, 0.25, 1, False),
+    # the first max (gain 2.125, left h 0.25) is below min_sum_hessian; the next cut
+    # ties it exactly and wins
+    ([0, 1, 2], [1, 1.125, -2.125], [0.25, 1.875, 2.125], 0.0, 0.5, 1, True),
+]
+
+
+@pytest.mark.parametrize("x,g,h,lam,min_sum_hessian,min_samples_leaf,masked", EDGE_CASES,
+                         ids=[f"x{i}-g{i}-h{i}-{case[3]}-{case[5]}"
+                              for i, case in enumerate(EDGE_CASES)])
+def test_split_scan_edge_cases(monkeypatch, x, g, h, lam, min_sum_hessian, min_samples_leaf,
+                               masked):
     cols = columns_from(np.array(x, dtype=float)[:, None])
     g, h = np.array(g, dtype=float), np.array(h, dtype=float)
-    config = TreeConfig(lam=lam, min_sum_hessian=0.0, min_samples_leaf=min_samples_leaf)
+    config = TreeConfig(lam=lam, min_sum_hessian=min_sum_hessian,
+                        min_samples_leaf=min_samples_leaf)
     node = presort(cols, np.arange(len(x)))
-    cand = best_split(cols, node, g, h, config)
-    assert bitwise(cand) == bitwise(reference_best_split(cols, node, g, h, config))
+    calls = []
+    real_minimum = np.minimum
+    with np.errstate(over="ignore"):  # the NaN and +inf nodes overflow on purpose
+        expected = reference_best_split(cols, node, g, h, config)
+        monkeypatch.setattr(np, "minimum", lambda *args: calls.append(args) or real_minimum(*args))
+        cand = best_split(cols, node, g, h, config)
+    assert bitwise(cand) == bitwise(expected)
+    assert bool(calls) == masked
     assert cand is not None and cand.gain < 100  # no near-zero denominator chosen
     assert min(cand.n_left, cand.n_right) >= min_samples_leaf
+    assert min(cand.h_left, cand.h_right) >= min_sum_hessian
+
+
+def reference_partition(order, keep, n_kept):
+    """Reference for ``tree.partition_sorted``, by boolean indexing."""
+    by_feature = order.T
+    kept = keep[by_feature]
+    n_features, n = by_feature.shape
+    return (by_feature[kept].reshape(n_features, n_kept).T,
+            by_feature[~kept].reshape(n_features, n - n_kept).T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(0, 12), m=st.integers(0, 3),
+       kind=st.sampled_from(["some", "all", "none"]))
+def test_partition_sorted_matches_boolean_indexing(data, n, m, kind):
+    cols = np.array(data.draw(st.lists(st.lists(st.sampled_from([0.0, 1.0, 2.0, np.nan]),
+                                                min_size=n, max_size=n),
+                                       min_size=m, max_size=m)), dtype=float).reshape(m, n)
+    rows = np.array(sorted(data.draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=n))),
+                    dtype=np.int64)
+    order = presort(cols, rows)
+    keep = np.zeros(n, dtype=bool)
+    if kind == "some":
+        keep[:] = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    keep[rows] |= kind == "all"
+    n_kept = int(keep[rows].sum())
+    for part, expected in zip(partition_sorted(order, keep, n_kept),
+                              reference_partition(order, keep, n_kept)):
+        assert part.shape == expected.shape and part.dtype == expected.dtype
+        npt.assert_array_equal(part, expected)
 
 
 class TestDecomposedGain:
