@@ -194,6 +194,14 @@ def partition_sorted(order, keep, n_kept):
             flat.compress(~kept).reshape(n_features, n - n_kept).T)
 
 
+def _inadmissible(gain, HL, HR, dl, dr, min_sum_hessian):
+    """Which cuts no split may take: a gain that is not finite, a Hessian sum
+    below ``min_sum_hessian`` or a Newton denominator within DENOM_EPS of
+    zero. Takes arrays or numpy scalars; plain operators keep a scalar cheap."""
+    return (~np.isfinite(gain) | (HL < min_sum_hessian) | (HR < min_sum_hessian)
+            | (abs(dl) <= DENOM_EPS) | (abs(dr) <= DENOM_EPS))
+
+
 def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
     """Best split of one node on feature ``f``, whose values ``vals`` ascend
     with NaN (missing) last; ``g`` and ``h`` follow their order."""
@@ -239,17 +247,15 @@ def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]
             GL, HL = GL + g_miss, HL + h_miss
         GR, HR = G_tot - GL, H_tot - HL
         dl, dr = HL + config.lam, HR + config.lam
-        # near-zero denominators are masked below; best_split silences their warnings
+        # near-zero denominators (a division by zero, an overflow) are masked below;
+        # best_split silences their warnings
         gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
         # the first max, or the first NaN; if admissible, it is also the first
         # max after masking (see the module docstring)
         k = int(gain.argmax())
-        if not (np.isfinite(gain[k]) and min(HL[k], HR[k]) >= config.min_sum_hessian
-                and min(abs(dl[k]), abs(dr[k])) > DENOM_EPS):
-            # a NaN that np.minimum passes on makes the gain NaN too
-            bad = ((np.minimum(HL, HR) < config.min_sum_hessian)
-                   | (np.minimum(np.abs(dl), np.abs(dr)) <= DENOM_EPS) | ~np.isfinite(gain))
-            gain[bad] = -np.inf
+        msh = config.min_sum_hessian
+        if _inadmissible(gain[k], HL[k], HR[k], dl[k], dr[k], msh):
+            gain[_inadmissible(gain, HL, HR, dl, dr, msh)] = -np.inf
             k = int(gain.argmax())  # the first admissible max: the lowest threshold
         if gain[k] > best[0]:
             best = (gain[k], start + k, shift, GL[k], HL[k], GR[k], HR[k])
@@ -269,7 +275,7 @@ def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandida
     matrix is ``rows``. Gain ties go to the lowest feature index, then
     missing rows right, then the lowest threshold."""
     best = None
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for f in range(len(columns)):
             ids = rows[:, f]
             cand = _scan_feature(f, columns[f].take(ids), g.take(ids), h.take(ids), config)

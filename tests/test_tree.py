@@ -430,7 +430,7 @@ def reference_scan(f, vals, g, h, config):
 
 def reference_best_split(columns, rows, g, h, config):
     best = None
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for f in range(len(columns)):
             ids = rows[:, f]
             cand = reference_scan(f, columns[f][ids], g[ids], h[ids], config)
@@ -469,9 +469,9 @@ def test_split_scan_matches_the_reference_bitwise(data, n, m, lam, min_sum_hessi
     g = np.array(data.draw(st.lists(st.one_of(QUARTERS, st.floats(-4, 4)),
                                     min_size=n, max_size=n)), dtype=float)
     # tenths: sums that should cancel leave a rounding residue, a near-zero denominator;
-    # no |h| below 1e-6, as a sum near 1e-308 overflows the division (a RuntimeWarning)
+    # floats include subnormals, whose sums overflow the division
     tenths = st.sampled_from([0.1, 0.2, -0.3])
-    floats = st.floats(-1, 2).filter(lambda v: v == 0 or abs(v) >= 1e-6)
+    floats = st.floats(-1, 2)
     h = np.array(data.draw(st.lists(st.one_of(QUARTERS, tenths, floats),
                                     min_size=n, max_size=n)), dtype=float)
     # rows with g = h = 0 tie the two missing directions when they are the missing ones,
@@ -484,7 +484,7 @@ def test_split_scan_matches_the_reference_bitwise(data, n, m, lam, min_sum_hessi
                         min_sum_hessian=min_sum_hessian, min_gain=min_gain)
     node = presort(cols, rows)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for f in range(m):
             ids = node[:, f]
             assert (bitwise(tree_module._scan_feature(f, cols[f][ids], g[ids], h[ids], config))
@@ -494,7 +494,7 @@ def test_split_scan_matches_the_reference_bitwise(data, n, m, lam, min_sum_hessi
 
 
 # masked: whether a pass's unmasked first max fails the admissibility check, so
-# that _scan_feature builds the mask of inadmissible cuts (two np.minimum calls)
+# that _scan_feature builds the mask of inadmissible cuts
 EDGE_CASES = [
     # after the third row the left sum of h is a rounding residue, 5.6e-17, not 0
     ([0, 1, 2, 3], [1, 1, 1, -1], [0.1, 0.2, -0.3, 1], 0.0, 0.0, 1, True),
@@ -535,14 +535,14 @@ def test_split_scan_edge_cases(monkeypatch, x, g, h, lam, min_sum_hessian, min_s
     config = TreeConfig(lam=lam, min_sum_hessian=min_sum_hessian,
                         min_samples_leaf=min_samples_leaf)
     node = presort(cols, np.arange(len(x)))
-    calls = []
-    real_minimum = np.minimum
-    with np.errstate(over="ignore"):  # the NaN and +inf nodes overflow on purpose
-        expected = reference_best_split(cols, node, g, h, config)
-        monkeypatch.setattr(np, "minimum", lambda *args: calls.append(args) or real_minimum(*args))
-        cand = best_split(cols, node, g, h, config)
+    expected = reference_best_split(cols, node, g, h, config)
+    ranks = []  # of the gains each admissibility check is given: 1 for a mask
+    real = tree_module._inadmissible
+    monkeypatch.setattr(tree_module, "_inadmissible",
+                        lambda gain, *rest: ranks.append(np.ndim(gain)) or real(gain, *rest))
+    cand = best_split(cols, node, g, h, config)
     assert bitwise(cand) == bitwise(expected)
-    assert bool(calls) == masked
+    assert (1 in ranks) == masked
     assert cand is not None and cand.gain < 100  # no near-zero denominator chosen
     assert min(cand.n_left, cand.n_right) >= min_samples_leaf
     assert min(cand.h_left, cand.h_right) >= min_sum_hessian
