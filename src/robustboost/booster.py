@@ -130,6 +130,8 @@ def fit(data: TabularDataset, config: BoosterConfig,
     if data.n_classes != config.n_classes:
         raise DataError(f"the data names {data.n_classes} classes, "
                         f"the config has n_classes = {config.n_classes}")
+    if config.early_stopping_rounds is not None and valid is None:
+        raise BoosterConfigError("early_stopping_rounds needs a validation set (valid)")
 
     def column_targets(labels):
         if config.n_classes == 2:
@@ -173,7 +175,7 @@ def fit(data: TabularDataset, config: BoosterConfig,
                         and t - best_round >= config.early_stopping_rounds):
                     break
 
-    if valid is not None and config.early_stopping_rounds is not None and best_round is not None:
+    if config.early_stopping_rounds is not None and best_round is not None:
         model.trees = [lst[: best_round + 1] for lst in model.trees]
         model.best_round = best_round
     return model

@@ -38,7 +38,7 @@ def parse_config_file(path) -> dict:
     """key = value lines; '#' starts a comment; later keys override earlier."""
     out = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
                 if not line:

@@ -98,9 +98,8 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
 def load_csv(path, label_column) -> TabularDataset:
     """Load a headered CSV. Feature cells must be finite numbers or a missing
     token, which becomes NaN; labels must be present and are encoded by first
-    appearance. No imputation is performed.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
+    appearance. No imputation is performed. A UTF-8 byte-order mark is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -161,11 +160,17 @@ def dump_csv(dataset: TabularDataset, path):
     """Write back to CSV, the labels last as ``label``, missing cells as ``NA``.
 
     Present values use repr-shortest float formatting, so load -> dump ->
-    load round-trips bit-exactly.
+    load round-trips bit-exactly. A name that would not read back raises
+    ValueError before anything is written.
     """
+    header = list(dataset.feature_names) + ["label"]
+    check_unique(header, ValueError, "repeated header")
+    for name in dataset.class_names:
+        if name in DEFAULT_MISSING_TOKENS:
+            raise ValueError(f"class name {name!r} would read back as a missing label")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + ["label"])
+        writer.writerow(header)
         for values, label in zip(dataset.columns.T.tolist(), dataset.labels):
             row = ["NA" if v != v else repr(v) for v in values]
             row.append(dataset.class_names[label])

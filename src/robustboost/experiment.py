@@ -151,7 +151,7 @@ def task_metric(proba, data):
 
 
 def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
-              n_classes: int, tune_fraction: float, tune_seed: int, model_seed: int):
+              tune_fraction: float, tune_seed: int, model_seed: int):
     """Grid-search on an internal split of (possibly noisy) training data,
     then refit the winner on the full training set.
 
@@ -177,7 +177,7 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
             group = list(group)
             model = fit(sub_train, BoosterConfig(
                 loss=spec, tree=tree, learning_rate=lr, n_rounds=max(c[2] for _, c in group),
-                n_classes=n_classes, seed=model_seed))
+                n_classes=train.n_classes, seed=model_seed))
             for i, (_, _, rounds) in group:
                 staged = replace(model, trees=[lst[:rounds] for lst in model.trees])
                 score = task_metric(predict_proba(staged, sub_valid), sub_valid)[1]
@@ -188,7 +188,7 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
     else:
         spec, lr, rounds = candidates[0]
     cfg = BoosterConfig(loss=spec, tree=tree, learning_rate=lr,
-                        n_rounds=rounds, n_classes=n_classes, seed=model_seed)
+                        n_rounds=rounds, n_classes=train.n_classes, seed=model_seed)
     return fit(train, cfg), cfg
 
 
@@ -267,8 +267,7 @@ def _run_cell(dataset, cell):
     plan, noisy, method, tree, tune_fraction, tune_seed, model_seed = cell
     train = dataset.subset(plan.train_indices).with_labels(noisy)
     test = dataset.subset(plan.test_indices)
-    model, used = fit_tuned(train, method, tree, dataset.n_classes, tune_fraction,
-                            tune_seed=tune_seed, model_seed=model_seed)
+    model, used = fit_tuned(train, method, tree, tune_fraction, tune_seed, model_seed)
     metric_name, value = task_metric(predict_proba(model, test), test)
     params = (f"family={used.loss.family};r={used.loss.r};q={used.loss.q};"
               f"lr={used.learning_rate};rounds={used.n_rounds}")

@@ -3,7 +3,9 @@
 Exact greedy split search over midpoint thresholds, Newton leaf weights
 -G/(H+lambda), gain-based split acceptance, and learned default directions
 for missing values. Growth is best-first up to a leaf cap with a depth
-backstop.
+backstop. A Newton denominator H + lambda is degenerate when |H + lambda| <=
+DENOM_EPS, as a nonconvex loss's Hessian sum can make it: no node with one is
+split, no split leaves a child with one, and a leaf with one (a root) gets 0.
 
 Split search sorts once per fit (``presort`` of every row). A tree's root
 filters that sort to the tree's rows, a subset in a subsampled round, and
@@ -16,11 +18,11 @@ threshold.
 
 A pass takes the first argmax of its unmasked gains: the first NaN if there
 is one, else the first of the tied maxima. If that cut is admissible (a
-finite gain, both Hessian sums at least ``min_sum_hessian``, both Newton
-denominators farther than DENOM_EPS from zero), it is also the first max
-after the inadmissible cuts are masked to -inf, because masking lowers no
-gain and leaves this one as it is. Only otherwise does the pass build the
-mask and take the argmax again.
+finite gain, both Hessian sums at least ``min_sum_hessian``, neither Newton
+denominator degenerate), it is also the first max after the inadmissible
+cuts are masked to -inf, because masking lowers no gain and leaves this one
+as it is. Only otherwise does the pass build the mask and take the argmax
+again.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ import numpy as np
 
 DENOM_EPS = 1e-12
 NUMBER = (int, float)  # the JSON types of a number
-
-
-class DegenerateDenominatorError(ZeroDivisionError):
-    """|sum_h + lambda| too close to zero for a Newton step."""
 
 
 class ModelFormatError(ValueError):
@@ -163,11 +161,10 @@ class Tree:
 
 
 def leaf_weight(sum_g: float, sum_h: float, lam: float) -> float:
-    """Newton-optimal leaf output -sum_g / (sum_h + lam)."""
+    """Newton-optimal leaf output -sum_g / (sum_h + lam), or 0.0 when that
+    denominator is degenerate (the scan rejects a child's on the same sum)."""
     denom = sum_h + lam
-    if abs(denom) < DENOM_EPS:
-        raise DegenerateDenominatorError(f"sum_h + lam = {denom}")
-    return -sum_g / denom
+    return 0.0 if abs(denom) <= DENOM_EPS else -sum_g / denom
 
 
 def route_left(vals, default_left, threshold):
@@ -196,8 +193,8 @@ def partition_sorted(order, keep, n_kept):
 
 def _inadmissible(gain, HL, HR, dl, dr, min_sum_hessian):
     """Which cuts no split may take: a gain that is not finite, a Hessian sum
-    below ``min_sum_hessian`` or a Newton denominator within DENOM_EPS of
-    zero. Takes arrays or numpy scalars; plain operators keep a scalar cheap."""
+    below ``min_sum_hessian`` or a degenerate Newton denominator. Takes
+    arrays or numpy scalars; plain operators keep a scalar cheap."""
     return (~np.isfinite(gain) | (HL < min_sum_hessian) | (HR < min_sum_hessian)
             | (abs(dl) <= DENOM_EPS) | (abs(dr) <= DENOM_EPS))
 
@@ -224,7 +221,7 @@ def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]
     G_tot, H_tot = cg[-1] + g_miss, ch[-1] + h_miss
 
     denom_p = H_tot + config.lam
-    if abs(denom_p) < DENOM_EPS:
+    if abs(denom_p) <= DENOM_EPS:
         return None
     parent_term = G_tot * G_tot / denom_p
 
@@ -284,13 +281,6 @@ def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandida
     return best
 
 
-def _safe_weight(sum_g, sum_h, lam):
-    try:
-        return leaf_weight(sum_g, sum_h, lam)
-    except DegenerateDenominatorError:
-        return 0.0
-
-
 def grow_tree(columns, order, rows, g, h, config: TreeConfig) -> Tree:
     """Best-first growth on the distinct, ascending row ids ``rows``:
     repeatedly expand the frontier leaf with the highest split gain until no
@@ -300,7 +290,8 @@ def grow_tree(columns, order, rows, g, h, config: TreeConfig) -> Tree:
     rows = np.asarray(rows)
     tree = Tree()
     sum_g, sum_h = float(g[rows].sum()), float(h[rows].sum())
-    tree.add_leaf(_safe_weight(sum_g, sum_h, config.lam))
+    tree.add_leaf(leaf_weight(sum_g, sum_h, config.lam))
+    # min_sum_hessian would reject every cut: skip the scan (every round for mae)
     if rows.size == 0 or sum_h < config.min_sum_hessian:
         return tree
 
@@ -329,8 +320,8 @@ def grow_tree(columns, order, rows, g, h, config: TreeConfig) -> Tree:
         tree.feature[node] = cand.feature
         tree.threshold[node] = cand.threshold
         tree.default_left[node] = cand.default_left
-        tree.left[node] = tree.add_leaf(_safe_weight(cand.g_left, cand.h_left, config.lam))
-        tree.right[node] = tree.add_leaf(_safe_weight(cand.g_right, cand.h_right, config.lam))
+        tree.left[node] = tree.add_leaf(leaf_weight(cand.g_left, cand.h_left, config.lam))
+        tree.right[node] = tree.add_leaf(leaf_weight(cand.g_right, cand.h_right, config.lam))
         n_leaves += 1
 
         left, right = partition_sorted(node_rows, side, cand.n_left)
@@ -359,7 +350,6 @@ def decomposed_gain(s: GainScenario) -> float:
     d1 = s.tau * s.theta * s.H + s.lam
     d2 = (1.0 - s.tau) * s.theta * s.H + s.lam
     d3 = s.theta * s.H + s.lam
-    for d in (d1, d2, d3):
-        if abs(d) < DENOM_EPS:
-            raise DegenerateDenominatorError(f"denominator {d}")
+    if min(abs(d1), abs(d2), abs(d3)) <= DENOM_EPS:
+        raise ZeroDivisionError(f"a degenerate denominator among {d1}, {d2}, {d3}")
     return s.G**2 * (s.mu**2 / d1 + (1.0 - s.mu) ** 2 / d2 - 1.0 / d3)

@@ -149,6 +149,13 @@ class TestValidationAndEarlyStopping:
         best = min(model.valid_loss_history)
         assert model.valid_loss_history[model.best_round] == best
 
+    def test_early_stopping_needs_a_validation_set(self):
+        # it used to be ignored: every round grew and best_round stayed None
+        train, _ = self.split()
+        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=5, early_stopping_rounds=2)
+        with pytest.raises(BoosterConfigError, match="needs a validation set"):
+            fit(train, cfg)
+
     def named_split(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(120, 3))

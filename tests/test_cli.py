@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import pathlib
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import robustboost
 from robustboost.cli import (CONFIG_KEYS, EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError,
                              build_config, main, parse_config_file)
-from robustboost.experiment import read_results
+from robustboost.experiment import load_experiment_dataset, read_results
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -68,6 +70,13 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             parse_config_file("/nonexistent/run.cfg")
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # it was read into the first key: train exited 2 on "unknown config key '\ufeffdataset'"
+        path = tmp_path / "bom.cfg"
+        path.write_text("dataset = synthetic:separable\nn_rounds = 3\n", encoding="utf-8-sig")
+        assert parse_config_file(str(path))["dataset"] == "synthetic:separable"
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_OK
 
 
 class TestTrainPredict:
@@ -165,6 +174,23 @@ JUNK_VALUES = ["", "nan", "inf", "-1", "0", "2", "1.5", "0.49", "1e309", "9" * 4
                "rfl,mae,sce,nce,fl,cce,gce"]
 
 
+def code_defaults():
+    """Each config key's defaults: what an empty config leaves in the objects
+    that the subcommands reading the key hand it to, one value if they agree."""
+    params = inspect.signature(load_experiment_dataset).parameters
+    loader = SimpleNamespace(**{name: p.default for name, p in params.items()})
+    booster = build_config("train", {})["booster"]
+    holders = {"predict": {"data": loader},
+               "train": {"data": loader, "loss": booster.loss, "booster": booster,
+                         "tree": booster.tree}}
+    for command in ("sweep", "ablate"):
+        exp = build_config(command, {})["experiment"]
+        holders[command] = {"data": exp, "experiment": exp, "tree": exp.tree,
+                            "method": exp.resolve_method("rfl")}
+    return {key: {getattr(holders[command][group], key) for command, group in readers.items()}
+            for key, (_, readers) in CONFIG_KEYS.items()}
+
+
 def effective(built):
     """What a built configuration makes the subcommand do."""
     exp = built.get("experiment")
@@ -200,12 +226,16 @@ class TestConfigTable:
                       encoding="utf-8").read()
         table = readme[readme.index("| key | subcommands |"):]
         table = table[:table.index("\n\n")].splitlines()[2:]
-        documented = {}
+        documented, default_text = {}, {}
         for row in table:
             cells = [c.strip() for c in row.strip("|").split("|")]
-            for key in re.findall(r"`([^`]+)`", cells[0]):
+            keys, values = (re.findall(r"`([^`]+)`", cells[i]) for i in (0, 2))
+            for key, text in zip(keys, values, strict=True):
                 documented[key] = {c.strip() for c in cells[1].split(",")}
+                default_text[key] = text
         assert documented == {k: set(readers) for k, (_, readers) in CONFIG_KEYS.items()}
+        assert ({key: {CONFIG_KEYS[key][0](text)} for key, text in default_text.items()}
+                == code_defaults())
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())

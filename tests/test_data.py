@@ -1,3 +1,4 @@
+import re
 import tempfile
 from pathlib import Path
 
@@ -8,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustboost.booster import BoosterConfig, BoosterModel, align
-from robustboost.data import (CsvParseError, SplitError, dump_csv,
-                              from_arrays, load_csv,
-                              train_test_split)
+from robustboost.data import (DEFAULT_MISSING_TOKENS, CsvParseError, SplitError, dump_csv,
+                              from_arrays, load_csv, train_test_split)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -59,6 +59,30 @@ class TestLoadCsv:
         path = write(tmp_path, f"a,b,label\n1,2,pos\n3,4,neg\n5,6,{cell}\n7,8,pos\n")
         with pytest.raises(CsvParseError, match=f"row 4, column 'label': missing label '{cell}'"):
             load_csv(path, label_column="label")
+
+    @pytest.mark.parametrize("header", ["label,a,b", "a,b,label"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header):
+        # it was read into the first header name: 'label' went unfound, 'a' became '\ufeffa'
+        cells = [{"label": "x", "a": "1", "b": "2"}, {"label": "y", "a": "3", "b": "?"}]
+        names = header.split(",")
+        path = tmp_path / "bom.csv"
+        path.write_text("\n".join([header] + [",".join(c[k] for k in names) for c in cells]),
+                        encoding="utf-8-sig")
+        ds = load_csv(str(path), label_column="label")
+        assert ds.feature_names == ["a", "b"] and ds.class_names == ["x", "y"]
+        npt.assert_array_equal(ds.columns, [[1.0, 3.0], [2.0, np.nan]])
+
+    @pytest.mark.parametrize("names,message", [
+        *[(dict(class_names=["pos", token]), f"class name '{token}'")
+          for token in DEFAULT_MISSING_TOKENS],
+        (dict(feature_names=["a", "label"]), "repeated header 'label'"),
+    ])
+    def test_dump_rejects_names_that_do_not_read_back(self, tmp_path, names, message):
+        ds = from_arrays(np.zeros((2, 2)), np.array([0, 1]), **names)
+        out = tmp_path / "dump.csv"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            dump_csv(ds, out)
+        assert not out.exists()
 
     @given(n=st.integers(1, 40), m=st.integers(1, 5), seed=st.integers(0, 2**16),
            nan_rate=st.sampled_from([0.0, 0.2, 0.7, 1.0]))

@@ -48,7 +48,7 @@ def recording_split(monkeypatch, stratified_error=None):
 def test_fit_tuned_falls_back_to_unstratified_split(monkeypatch):
     calls = recording_split(monkeypatch)
     model, cfg = fit_tuned(singleton_class_dataset(), TUNED_CCE, TreeConfig(max_leaves=4),
-                           n_classes=3, tune_fraction=0.75, tune_seed=1, model_seed=2)
+                           tune_fraction=0.75, tune_seed=1, model_seed=2)
     assert calls == [True, False]
     assert len(model.trees) == 3 and cfg.learning_rate in (0.1, 0.3)
 
@@ -56,7 +56,7 @@ def test_fit_tuned_falls_back_to_unstratified_split(monkeypatch):
 def test_fit_tuned_does_not_swallow_other_errors(monkeypatch):
     recording_split(monkeypatch, stratified_error=RuntimeError("boom"))
     with pytest.raises(RuntimeError, match="boom"):
-        fit_tuned(singleton_class_dataset(), TUNED_CCE, TreeConfig(), n_classes=3,
+        fit_tuned(singleton_class_dataset(), TUNED_CCE, TreeConfig(),
                   tune_fraction=0.75, tune_seed=1, model_seed=2)
 
 
@@ -107,7 +107,7 @@ def test_method_spec_rejects_invalid_grids(fields):
         MethodSpec(name="rfl", family="rfl", **fields)
 
 
-def exhaustive_fit_tuned(train, method, tree, n_classes, tune_fraction, tune_seed, model_seed):
+def exhaustive_fit_tuned(train, method, tree, tune_fraction, tune_seed, model_seed):
     """fit_tuned as one fit per candidate: the reference for the staged search."""
     candidates = method.candidates()
     if len(candidates) > 1:
@@ -120,7 +120,7 @@ def exhaustive_fit_tuned(train, method, tree, n_classes, tune_fraction, tune_see
         best = None
         for i, (spec, lr, rounds) in enumerate(candidates):
             cfg = BoosterConfig(loss=spec, tree=tree, learning_rate=lr,
-                                n_rounds=rounds, n_classes=n_classes, seed=model_seed)
+                                n_rounds=rounds, n_classes=train.n_classes, seed=model_seed)
             model = fit(sub_train, cfg)
             score = task_metric(predict_proba(model, sub_valid), sub_valid)[1]
             if best is None or score > best[0]:
@@ -129,7 +129,7 @@ def exhaustive_fit_tuned(train, method, tree, n_classes, tune_fraction, tune_see
     else:
         spec, lr, rounds = candidates[0]
     cfg = BoosterConfig(loss=spec, tree=tree, learning_rate=lr,
-                        n_rounds=rounds, n_classes=n_classes, seed=model_seed)
+                        n_rounds=rounds, n_classes=train.n_classes, seed=model_seed)
     return fit(train, cfg), cfg
 
 
@@ -149,7 +149,7 @@ def test_staged_tuning_matches_one_fit_per_candidate(n_classes, seed, family, gr
     train = from_arrays(X, y, class_names=[str(k) for k in range(n_classes)])
     method = MethodSpec(name=family, family=family, grid_r=grid_r, grid_q=(0.5,),
                         grid_lr=tuple(grid_lr), grid_rounds=tuple(grid_rounds))
-    args = (train, method, TreeConfig(max_leaves=4), n_classes, 0.75, seed + 1, seed + 2)
+    args = (train, method, TreeConfig(max_leaves=4), 0.75, seed + 1, seed + 2)
     model, cfg = fit_tuned(*args)
     ref_model, ref_cfg = exhaustive_fit_tuned(*args)
     assert cfg == ref_cfg
@@ -159,7 +159,7 @@ def test_staged_tuning_matches_one_fit_per_candidate(n_classes, seed, family, gr
 def tuned_pick(**grids):
     _, cfg = fit_tuned(synthetic.make("imbalanced", seed=7),
                        MethodSpec(name="mae", family="mae", **grids),
-                       TreeConfig(max_leaves=8), n_classes=2, tune_fraction=0.75,
+                       TreeConfig(max_leaves=8), tune_fraction=0.75,
                        tune_seed=1, model_seed=2)
     return cfg.learning_rate, cfg.n_rounds
 
@@ -195,7 +195,7 @@ def test_one_tuning_fit_per_loss_and_learning_rate(monkeypatch):
     train = synthetic.make("imbalanced", seed=7)
     method = MethodSpec(name="rfl", family="rfl", grid_r=(0.5, 2.0), grid_q=(0.5,),
                         grid_lr=(0.1,), grid_rounds=(6, 8))
-    model, cfg = fit_tuned(train, method, TreeConfig(max_leaves=8), n_classes=2,
+    model, cfg = fit_tuned(train, method, TreeConfig(max_leaves=8),
                            tune_fraction=0.75, tune_seed=1, model_seed=2)
     assert [rounds for _, rounds in calls] == [8, 8, cfg.n_rounds]
     assert calls[0][0] < train.n_samples and calls[2][0] == train.n_samples
@@ -221,7 +221,7 @@ def per_cell_run_sweep(cfg, out_dir, dataset, dataset_name):
                 global_log = [experiment.Flip(int(plan.train_indices[f.index]), f.old_label,
                                               f.new_label) for f in log]
                 model, used = fit_tuned(
-                    train.with_labels(noisy), method, cfg.tree, n_classes, cfg.tune_fraction,
+                    train.with_labels(noisy), method, cfg.tree, cfg.tune_fraction,
                     tune_seed=seed(experiment.TAG_TUNE, gi, rep, mi),
                     model_seed=seed(experiment.TAG_MODEL, gi, rep, mi))
                 test = dataset.subset(plan.test_indices)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustboost import tree as tree_module
-from robustboost.tree import (DENOM_EPS, TREE_FIELDS, DegenerateDenominatorError, GainScenario,
-                              SplitCandidate, Tree, TreeConfig, decomposed_gain, best_split,
-                              grow_tree, leaf_weight, partition_sorted, presort)
+from robustboost.tree import (DENOM_EPS, TREE_FIELDS, GainScenario, SplitCandidate, Tree,
+                              TreeConfig, decomposed_gain, best_split, grow_tree, leaf_weight,
+                              partition_sorted, presort)
 
 
 def columns_from(X):
@@ -44,7 +44,7 @@ def brute_force_best(columns, missing, g, h, config):
                     continue
                 dl, dr = HL + config.lam, HR + config.lam
                 dp = (HL + HR) + config.lam
-                if min(abs(dl), abs(dr), abs(dp)) < 1e-12:
+                if min(abs(dl), abs(dr), abs(dp)) <= DENOM_EPS:
                     continue
                 gain = 0.5 * (GL**2 / dl + GR**2 / dr - (GL + GR)**2 / dp)
                 if gain < config.min_gain:
@@ -60,10 +60,31 @@ class TestLeafFormulas:
         assert leaf_weight(1.0, 1.0, 0.0) == -1.0
         assert leaf_weight(0.0, 5.0, 1.0) == 0.0
         assert leaf_weight(-2.0, 3.0, 1.0) == 0.5
+        assert leaf_weight(1.0, 2 * DENOM_EPS, 0.0) == -0.5 / DENOM_EPS
 
     def test_degenerate_denominator(self):
-        with pytest.raises(DegenerateDenominatorError):
-            leaf_weight(1.0, -1.0, 1.0)
+        for sum_h, lam in ((-1.0, 1.0), (DENOM_EPS, 0.0), (-DENOM_EPS, 0.0)):
+            assert leaf_weight(1.0, sum_h, lam) == 0.0
+
+    @pytest.mark.parametrize("sum_h", [DENOM_EPS, -DENOM_EPS])
+    def test_a_root_whose_denominator_is_exactly_denom_eps_weighs_zero(self, sum_h):
+        # the root guard (sum_h below min_sum_hessian) keeps the root a leaf
+        cols = columns_from(np.array([[0.0], [1.0]]))
+        tree = grow_tree(cols, fit_sort(cols), np.arange(2), np.array([1.0, 1.0]),
+                         np.array([sum_h, 0.0]), TreeConfig(lam=0.0))
+        assert tree.value == [0.0] and tree.feature == [-1]
+
+    def test_a_node_whose_denominator_is_exactly_denom_eps_is_not_scanned(self, monkeypatch):
+        calls = []
+        real = tree_module._inadmissible
+        monkeypatch.setattr(tree_module, "_inadmissible",
+                            lambda *args: calls.append(1) or real(*args))
+        cols = columns_from(np.array([[0.0], [1.0]]))
+        g, h = np.array([1.0, -1.0]), np.full(2, DENOM_EPS / 2)  # h sums to DENOM_EPS exactly
+        tree = grow_tree(cols, fit_sort(cols), np.arange(2), g, h,
+                         TreeConfig(lam=0.0, min_sum_hessian=0.0))
+        assert tree.value == [0.0] and tree.feature == [-1]
+        assert calls == []  # the scan's parent guard returned before any pass
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
@@ -401,7 +422,7 @@ def reference_scan(f, vals, g, h, config):
     G_tot, H_tot = cg[-1] + g_miss, ch[-1] + h_miss
 
     denom_p = H_tot + config.lam
-    if abs(denom_p) < DENOM_EPS:
+    if abs(denom_p) <= DENOM_EPS:
         return None
     parent_term = G_tot * G_tot / denom_p
 
@@ -590,9 +611,16 @@ class TestDecomposedGain:
                             rtol=1e-12)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateDenominatorError):
-            decomposed_gain(GainScenario(G=1.0, H=0.0, mu=0.5, nu=0.5,
-                                       theta=0.5, tau=0.5, lam=0.0))
+        for H, tau in (
+            (0.0, 0.5),  # a true division by zero
+            (1e-13, 0.5),  # every denominator within DENOM_EPS of zero, none zero
+            # the left and right denominators are 3e-12 and -2e-12; only the
+            # parent's, theta*H + lam, is degenerate: DENOM_EPS exactly
+            (DENOM_EPS, 3.0),
+        ):
+            with pytest.raises(ZeroDivisionError):
+                decomposed_gain(GainScenario(G=1.0, H=H, mu=0.5, nu=0.5,
+                                             theta=1.0, tau=tau, lam=0.0))
 
     @given(G=st.floats(-10, 10), H=st.floats(0.1, 10),
            mu=st.floats(0.01, 0.99), theta=st.floats(0.01, 0.99))
