@@ -9,7 +9,6 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -20,7 +19,8 @@ from dataclasses import replace
 import numpy as np
 
 from .booster import BoosterConfig, align, deserialize, fit, predict_proba, serialize
-from .experiment import (ExperimentConfig, MethodSpec, load_experiment_dataset,
+from .data import write_csv
+from .experiment import (ExperimentConfig, MethodSpec, load_experiment_dataset, metric_name,
                          read_results, run_ablation, run_sweep, task_metric)
 from .losses import LossSpec
 from .metrics import MetricError, rank_methods
@@ -163,11 +163,8 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "model.json"), "w", encoding="utf-8") as fh:
         fh.write(serialize(model))
-    with open(os.path.join(args.out, "train_log.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "train_loss"])
-        for t, v in enumerate(model.train_loss_history):
-            writer.writerow([t, repr(v)])
+    write_csv(os.path.join(args.out, "train_log.csv"), ["round", "train_loss"],
+              enumerate(model.train_loss_history))
     metric, value = task_metric(predict_proba(model, data), data)
     with open(os.path.join(args.out, "train_report.json"), "w", encoding="utf-8") as fh:
         json.dump({"metric": metric, "train_value": value,
@@ -186,16 +183,13 @@ def cmd_predict(args) -> int:
     proba = predict_proba(model, data)
     tokens = [model.class_names[k] for k in np.argmax(proba, axis=1)]
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "predictions.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index"] + [f"proba_{k}" for k in range(proba.shape[1])] + ["label"])
-        # csv writes a float with str, which is repr
-        writer.writerows(zip(range(proba.shape[0]), *proba.T.tolist(), tokens))
+    write_csv(os.path.join(args.out, "predictions.csv"),
+              ["index"] + [f"proba_{k}" for k in range(proba.shape[1])] + ["label"],
+              zip(range(proba.shape[0]), *proba.T.tolist(), tokens))
+    metric = metric_name(data.n_classes)
     try:
-        metric, value = task_metric(proba, data)
-        report = {"metric": metric, "value": value}
+        report = {"metric": metric, "value": task_metric(proba, data)[1]}
     except MetricError as exc:  # a batch of one class, or of no rows, has no score
-        metric = "aucpr" if data.n_classes == 2 else "accuracy"
         report = {"metric": metric, "value": None, "reason": str(exc)}
     with open(os.path.join(args.out, "predict_report.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
@@ -203,7 +197,7 @@ def cmd_predict(args) -> int:
         print(f"predicted {proba.shape[0]} samples; no {metric}: {report['reason']}",
               file=sys.stderr)
     else:
-        print(f"predicted {proba.shape[0]} samples: {metric}={value:.6f}")
+        print(f"predicted {proba.shape[0]} samples: {metric}={report['value']:.6f}")
     return EXIT_OK
 
 
@@ -231,13 +225,10 @@ def cmd_report(args) -> int:
         matrix.append([float(np.mean(per_method[m])) for m in methods])
     table = rank_methods(np.array(matrix), methods)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "ranks.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        m = len(methods)
-        writer.writerow(["method", "average_rank"] + [f"top_{n}" for n in range(1, m + 1)])
-        for i, name in enumerate(methods):
-            writer.writerow([name, repr(float(table.average_rank[i]))]
-                            + [int(c) for c in table.top_n_counts[i]])
+    write_csv(os.path.join(args.out, "ranks.csv"),
+              ["method", "average_rank"] + [f"top_{n}" for n in range(1, len(methods) + 1)],
+              ([name, float(table.average_rank[i]), *table.top_n_counts[i].tolist()]
+               for i, name in enumerate(methods)))
     print(f"rank table over {len(keys)} dataset/noise cells written to {args.out}/ranks.csv")
     return EXIT_OK
 

@@ -156,25 +156,33 @@ def load_csv(path, label_column) -> TabularDataset:
     )
 
 
-def dump_csv(dataset: TabularDataset, path):
-    """Write back to CSV, the labels last as ``label``, missing cells as ``NA``.
-
-    Present values use repr-shortest float formatting, so load -> dump ->
-    load round-trips bit-exactly. A name that would not read back raises
-    ValueError before anything is written.
-    """
-    header = list(dataset.feature_names) + ["label"]
-    check_unique(header, ValueError, "repeated header")
-    for name in dataset.class_names:
-        if name in DEFAULT_MISSING_TOKENS:
-            raise ValueError(f"class name {name!r} would read back as a missing label")
+def write_csv(path, header, rows):
+    """Write ``header``, then ``rows``, to ``path`` as UTF-8 CSV in the default
+    dialect: every table the program writes. A cell is written with ``str``, which
+    for a Python float is its repr, so pass Python floats (``float(x)``,
+    ``.tolist()``), never numpy scalars."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for values, label in zip(dataset.columns.T.tolist(), dataset.labels):
-            row = ["NA" if v != v else repr(v) for v in values]
-            row.append(dataset.class_names[label])
-            writer.writerow(row)
+        writer.writerows(rows)
+
+
+def dump_csv(dataset: TabularDataset, path):
+    """Write back to CSV, the labels last as ``label``, missing cells as ``NA``,
+    so load -> dump -> load round-trips bit-exactly. A name that would not
+    read back, or a class that no row carries, raises ValueError before
+    anything is written.
+    """
+    header = list(dataset.feature_names) + ["label"]
+    check_unique(header, ValueError, "repeated header")
+    carried = np.bincount(dataset.labels, minlength=dataset.n_classes)
+    for name, rows in zip(dataset.class_names, carried):
+        if name in DEFAULT_MISSING_TOKENS:
+            raise ValueError(f"class name {name!r} would read back as a missing label")
+        if not rows:
+            raise ValueError(f"class {name!r} has no row, so it would not read back")
+    write_csv(path, header, ([*("NA" if v != v else v for v in values), dataset.class_names[k]]
+                             for values, k in zip(dataset.columns.T.tolist(), dataset.labels)))
 
 
 @dataclass

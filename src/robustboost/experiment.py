@@ -22,7 +22,7 @@ import numpy as np
 
 from . import synthetic
 from .booster import BoosterConfig, fit, predict_proba
-from .data import SplitError, TabularDataset, check_unique, load_csv, train_test_split
+from .data import SplitError, TabularDataset, check_unique, load_csv, train_test_split, write_csv
 from .losses import CATALOG, LossSpec
 from .metrics import accuracy, aucpr
 from .noise import Flip, NoiseSpec, inject_binary, inject_multiclass, write_flip_log
@@ -59,9 +59,9 @@ class MethodSpec:
     grid_q: tuple = DEFAULT_GRID_Q
     grid_lr: tuple = DEFAULT_GRID_LR
     grid_rounds: tuple = DEFAULT_GRID_ROUNDS
-    eta: float = 1e-2
-    sce_alpha: float = 1.0
-    sce_beta: float = 1.0
+    eta: float = LossSpec.eta
+    sce_alpha: float = LossSpec.sce_alpha
+    sce_beta: float = LossSpec.sce_beta
 
     def __post_init__(self):
         # every grid point must be a valid booster config before a sweep starts,
@@ -143,11 +143,17 @@ def _inject(labels, n_classes, rate, seed):
     return inject_multiclass(labels, n_classes, spec)
 
 
+def metric_name(n_classes):
+    """The task's score: AUCPR for a binary task, else accuracy."""
+    return "aucpr" if n_classes == 2 else "accuracy"
+
+
 def task_metric(proba, data):
-    """(name, value) of the task's score: AUCPR for a binary task, else accuracy."""
-    if data.n_classes == 2:
-        return "aucpr", aucpr(proba[:, 1], data.labels)
-    return "accuracy", accuracy(np.argmax(proba, axis=1), data.labels)
+    """(name, value) of the task's score, as ``metric_name`` names it."""
+    name = metric_name(data.n_classes)
+    if name == "aucpr":
+        return name, aucpr(proba[:, 1], data.labels)
+    return name, accuracy(np.argmax(proba, axis=1), data.labels)
 
 
 def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
@@ -289,23 +295,17 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str, dataset=None, dataset_name
 
 
 def _write_results(rows, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "method", "gamma", "repeat", "metric", "value", "params"])
-        for r in rows:
-            writer.writerow([r.dataset, r.method, repr(r.gamma), r.repeat,
-                             r.metric, repr(r.value), r.params])
+    write_csv(path, ["dataset", "method", "gamma", "repeat", "metric", "value", "params"],
+              ((r.dataset, r.method, r.gamma, r.repeat, r.metric, r.value, r.params)
+               for r in rows))
 
 
 def _write_summary(rows, path):
     cells = {}
     for r in rows:
         cells.setdefault((r.dataset, r.method, r.gamma, r.metric), []).append(r.value)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dataset", "method", "gamma", "metric", "mean_value"])
-        for (ds, m, g, metric), vals in sorted(cells.items()):
-            writer.writerow([ds, m, repr(g), metric, repr(float(np.mean(vals)))])
+    write_csv(path, ["dataset", "method", "gamma", "metric", "mean_value"],
+              ((*key, float(np.mean(vals))) for key, vals in sorted(cells.items())))
 
 
 def read_results(path):

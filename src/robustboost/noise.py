@@ -8,10 +8,11 @@ its successor with probability rate (pair-flipping).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from .data import write_csv
 
 PROTOCOLS = ("binary_pairflip", "multiclass_pairflip")
 
@@ -89,8 +90,5 @@ def inject_multiclass(labels, n_classes: int, spec: NoiseSpec):
 
 
 def write_flip_log(log, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "old_label", "new_label"])
-        for flip in log:
-            writer.writerow([flip.index, flip.old_label, flip.new_label])
+    write_csv(path, ["sample_index", "old_label", "new_label"],
+              ((f.index, f.old_label, f.new_label) for f in log))

@@ -434,6 +434,22 @@ def test_predict_on_an_unscorable_batch_reports_no_value(token_model, tmp_path, 
     assert "no aucpr: aucpr needs both classes present" in capsys.readouterr().err
 
 
+def test_predict_on_a_header_only_batch_names_accuracy_for_three_classes(tmp_path, capsys):
+    # the unscorable path names the metric by the rule task_metric uses
+    cfg = write_config(tmp_path, TRAIN_CFG.replace("synthetic:separable", "synthetic:blobs3"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "run")]) == EXIT_OK
+    path = tmp_path / "empty.csv"
+    path.write_text("f0,f1,label\n")
+    out = str(tmp_path / "p")
+    assert main(["predict", "--model", str(tmp_path / "run" / "model.json"),
+                 "--data", str(path), "--out", out]) == EXIT_OK
+    rows, report = read_predictions(out)
+    assert rows == []
+    assert report == {"metric": "accuracy", "value": None,
+                      "reason": "accuracy needs at least one sample"}
+    assert "no accuracy: accuracy needs at least one sample" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("names,header,token,named", [
     ("abd", ["a", "b", "d", "label"], "neg", "missing ['c'], extra ['d']"),
     ("abc", ["a", "b", "label"], "neg", "missing ['c'], extra []"),

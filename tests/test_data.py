@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from robustboost.booster import BoosterConfig, BoosterModel, align
 from robustboost.data import (DEFAULT_MISSING_TOKENS, CsvParseError, SplitError, dump_csv,
-                              from_arrays, load_csv, train_test_split)
+                              from_arrays, load_csv, train_test_split, write_csv)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -76,6 +76,8 @@ class TestLoadCsv:
         *[(dict(class_names=["pos", token]), f"class name '{token}'")
           for token in DEFAULT_MISSING_TOKENS],
         (dict(feature_names=["a", "label"]), "repeated header 'label'"),
+        # load_csv would drop a class with no row and move the ids after it
+        (dict(class_names=["pos", "neg", "unseen"]), "class 'unseen' has no row"),
     ])
     def test_dump_rejects_names_that_do_not_read_back(self, tmp_path, names, message):
         ds = from_arrays(np.zeros((2, 2)), np.array([0, 1]), **names)
@@ -83,6 +85,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=re.escape(message)):
             dump_csv(ds, out)
         assert not out.exists()
+
+    def test_write_csv_bytes(self, tmp_path):
+        # every table relies on these: CRLF line ends, minimal quoting, UTF-8,
+        # and a Python float written as its repr
+        out = tmp_path / "t.csv"
+        write_csv(out, ["x", "y"], [[0.1 + 0.2, -0.0, 7, 'a,"b"', "é"]])
+        assert out.read_bytes() == ('x,y\r\n0.30000000000000004,-0.0,7,"a,""b""",'
+                                    '\u00e9\r\n').encode("utf-8")
 
     @given(n=st.integers(1, 40), m=st.integers(1, 5), seed=st.integers(0, 2**16),
            nan_rate=st.sampled_from([0.0, 0.2, 0.7, 1.0]))
