@@ -78,12 +78,14 @@ class BoosterModel:
         return len(self.trees) == 1
 
 
+def _column_loss(spec: LossSpec, yk, zk):
+    """One score column's mean loss on its 0/1 targets ``yk`` at scores ``zk``."""
+    return np.mean(loss_value(spec, make_phat(yk, sigmoid(zk))))
+
+
 def _mean_loss(spec: LossSpec, targets, z) -> float:
     """Mean over score columns of each column's mean loss on its 0/1 targets."""
-    means = []
-    for k, yk in enumerate(targets):
-        means.append(np.mean(loss_value(spec, make_phat(yk, sigmoid(z[k])))))
-    return float(np.mean(means))
+    return float(np.mean([_column_loss(spec, yk, z[k]) for k, yk in enumerate(targets)]))
 
 
 def _sample_rows(rng, n, subsample):
@@ -95,15 +97,23 @@ def _sample_rows(rng, n, subsample):
 
 def _grow_column(state, task):
     """Score column k's tree for the round's ``rows``, grown from the column's
-    scores ``zk``, and the tree's output on every training row."""
+    scores ``zk``; the column's scores after the tree, and its mean training
+    loss there. The tree is evaluated only on the rows outside ``rows``:
+    growing it gives its output on ``rows``."""
     columns, order, targets, config = state
     k, zk, rows = task
     g, h = grad_hess(config.loss, targets[k], zk)
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
         raise AssertionError(
             f"non-finite gradient/Hessian from the loss layer in score column {k}")
-    tree = grow_tree(columns, order, rows, g, h, config.tree)
-    return tree, tree.predict(columns)
+    out = np.empty(zk.size)
+    tree = grow_tree(columns, order, rows, g, h, config.tree, out)
+    if rows.size < zk.size:  # a subsampled round
+        outside = np.ones(zk.size, dtype=bool)
+        outside[rows] = False
+        out[outside] = tree.predict(columns[:, outside])
+    zk = zk + config.learning_rate * out
+    return tree, zk, _column_loss(config.loss, targets[k], zk)
 
 
 def fit(data: TabularDataset, config: BoosterConfig,
@@ -111,6 +121,11 @@ def fit(data: TabularDataset, config: BoosterConfig,
     """Train a boosted ensemble on n_cols score columns: one column with
     targets [y] for binary, one one-vs-all column per class otherwise.
     A round builds every column's tree from the scores frozen at its start.
+    A column's task returns its tree, the column's new training scores and
+    its mean training loss: growing the tree gives its output on the
+    round's rows, so the tree is evaluated only on the rows a subsampled
+    round left out. This process draws each round's rows, stores the scores,
+    averages the losses, and scores ``valid`` for early stopping.
 
     A multi-class fit grows each round's class trees on one forked worker
     per usable core, never more than there are classes, started once for
@@ -158,12 +173,12 @@ def fit(data: TabularDataset, config: BoosterConfig,
         for t in range(config.n_rounds):
             rows = _sample_rows(rng, n, config.subsample)
             grown = run(_grow_column, [(k, z[k], rows) for k in range(len(targets))])
-            for k, (tree, out) in enumerate(grown):
+            for k, (tree, zk, _) in enumerate(grown):
                 model.trees[k].append(tree)
-                z[k] = z[k] + config.learning_rate * out
+                z[k] = zk
                 if valid is not None:
                     z_valid[k] = z_valid[k] + config.learning_rate * tree.predict(valid.columns)
-            model.train_loss_history.append(_mean_loss(config.loss, targets, z))
+            model.train_loss_history.append(float(np.mean([loss for _, _, loss in grown])))
 
             if valid is not None:
                 v = _mean_loss(config.loss, valid_targets, z_valid)
@@ -199,33 +214,51 @@ def align(model: BoosterModel, data: TabularDataset) -> TabularDataset:
                           list(model.class_names))
 
 
-def predict_raw(model: BoosterModel, data: TabularDataset):
-    """Accumulated raw scores: lr * sum of tree outputs.
-
-    Binary models return shape (n,); multi-class returns (n, n_classes).
+def staged_raw(model: BoosterModel, data: TabularDataset, stages):
+    """The raw scores, lr * sum of tree outputs, of the model cut to each of
+    the ascending round counts ``stages`` in turn; each tree is evaluated
+    once. Binary models give shape (n,), multi-class (n, n_classes). Every
+    stage yields the same array, which the next stage adds to.
     """
     if data.n_features != len(model.feature_names):
         raise SchemaMismatchError(
             f"model expects {len(model.feature_names)} features, got {data.n_features}")
     z = np.zeros((data.n_samples, len(model.trees)))
-    for k, lst in enumerate(model.trees):
-        for tree in lst:
-            z[:, k] = z[:, k] + model.config.learning_rate * tree.predict(data.columns)
-    return z[:, 0] if model.is_binary else z
+    done = 0
+    for rounds in stages:
+        for k, lst in enumerate(model.trees):
+            for tree in lst[done:rounds]:
+                z[:, k] = z[:, k] + model.config.learning_rate * tree.predict(data.columns)
+        done = rounds
+        yield z[:, 0] if model.is_binary else z
 
 
-def predict_proba(model: BoosterModel, data: TabularDataset):
-    """Class probabilities, shape (n, n_classes).
+def staged_proba(model: BoosterModel, data: TabularDataset, stages):
+    """Class probabilities, shape (n, n_classes), of the model cut to each
+    of the ascending round counts ``stages`` in turn (see ``staged_raw``).
 
     Binary: sigmoid of the raw score. Multi-class: per-class sigmoids
     normalized to sum to 1 (argmax is unchanged by the normalization).
     """
-    z = predict_raw(model, data)
-    if model.is_binary:
-        p1 = sigmoid(z)
-        return np.column_stack([1.0 - p1, p1])
-    s = sigmoid(z)
-    return s / s.sum(axis=1, keepdims=True)
+    for z in staged_raw(model, data, stages):
+        if model.is_binary:
+            p1 = sigmoid(z)
+            yield np.column_stack([1.0 - p1, p1])
+        else:
+            s = sigmoid(z)
+            yield s / s.sum(axis=1, keepdims=True)
+
+
+def predict_raw(model: BoosterModel, data: TabularDataset):
+    """Accumulated raw scores of every tree (see ``staged_raw``)."""
+    (z,) = staged_raw(model, data, [max(map(len, model.trees))])
+    return z
+
+
+def predict_proba(model: BoosterModel, data: TabularDataset):
+    """Class probabilities of every tree (see ``staged_proba``)."""
+    (p,) = staged_proba(model, data, [max(map(len, model.trees))])
+    return p
 
 
 def serialize(model: BoosterModel) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import synthetic
-from .booster import BoosterConfig, fit, predict_proba
+from .booster import BoosterConfig, fit, predict_proba, staged_proba
 from .data import SplitError, TabularDataset, check_unique, load_csv, train_test_split, write_csv
 from .losses import CATALOG, LossSpec
 from .metrics import accuracy, aucpr
@@ -164,9 +164,11 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
     Staged: the candidates sharing a (loss, lr) are fitted once, at their
     longest ``rounds``, and each is scored on that model's first ``rounds``
     trees, which are exactly a ``rounds``-round fit with the same seed (no
-    early stopping here). The first candidate in ``candidates()`` order with
-    the highest score wins, so a tie goes to the earlier grid value, not to
-    the shorter fit.
+    early stopping here). The tuning rows' scores are built up one round at
+    a time and read at each distinct ``rounds`` in ascending order, so each
+    tuning tree is evaluated once. The first candidate in ``candidates()``
+    order with the highest score wins, so a tie goes to the earlier grid
+    value, not to the shorter fit.
     """
     candidates = method.candidates()
     if len(candidates) > 1:
@@ -181,15 +183,16 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
         for (spec, lr), group in itertools.groupby(enumerate(candidates),
                                                    key=lambda c: c[1][:2]):
             group = list(group)
+            stages = sorted({rounds for _, (_, _, rounds) in group})
             model = fit(sub_train, BoosterConfig(
-                loss=spec, tree=tree, learning_rate=lr, n_rounds=max(c[2] for _, c in group),
+                loss=spec, tree=tree, learning_rate=lr, n_rounds=stages[-1],
                 n_classes=train.n_classes, seed=model_seed))
+            scores = {rounds: task_metric(proba, sub_valid)[1]
+                      for rounds, proba in zip(stages, staged_proba(model, sub_valid, stages))}
             for i, (_, _, rounds) in group:
-                staged = replace(model, trees=[lst[:rounds] for lst in model.trees])
-                score = task_metric(predict_proba(staged, sub_valid), sub_valid)[1]
-                if best is None or score > best[0]:
-                    best = (score, i)
-            del model, staged  # one tuning model alive at a time
+                if best is None or scores[rounds] > best[0]:
+                    best = (scores[rounds], i)
+            del model  # one tuning model alive at a time
         spec, lr, rounds = candidates[best[1]]
     else:
         spec, lr, rounds = candidates[0]

@@ -281,16 +281,23 @@ def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandida
     return best
 
 
-def grow_tree(columns, order, rows, g, h, config: TreeConfig) -> Tree:
+def grow_tree(columns, order, rows, g, h, config: TreeConfig, out) -> Tree:
     """Best-first growth on the distinct, ascending row ids ``rows``:
     repeatedly expand the frontier leaf with the highest split gain until no
     leaf admits a split or the leaf cap binds. ``order`` is the fit's
     ``presort(columns, np.arange(n))``, filtered here to ``rows``.
+
+    ``out``, indexed by row id, receives the tree's output on ``rows``, the
+    same as ``predict`` gives: a split routes its node's rows as ``predict``
+    does and writes its children's values over the node's. Other rows of
+    ``out`` are left as they are.
     """
     rows = np.asarray(rows)
     tree = Tree()
     sum_g, sum_h = float(g[rows].sum()), float(h[rows].sum())
-    tree.add_leaf(leaf_weight(sum_g, sum_h, config.lam))
+    root = leaf_weight(sum_g, sum_h, config.lam)
+    tree.add_leaf(root)
+    out[rows] = root
     # min_sum_hessian would reject every cut: skip the scan (every round for mae)
     if rows.size == 0 or sum_h < config.min_sum_hessian:
         return tree
@@ -315,13 +322,17 @@ def grow_tree(columns, order, rows, g, h, config: TreeConfig) -> Tree:
     while heap and n_leaves < config.max_leaves:
         _, _, node, node_rows, depth, cand = heapq.heappop(heap)
         ids = node_rows[:, cand.feature]
-        side[ids] = route_left(columns[cand.feature].take(ids), cand.default_left, cand.threshold)
+        go_left = route_left(columns[cand.feature].take(ids), cand.default_left, cand.threshold)
+        side[ids] = go_left
 
         tree.feature[node] = cand.feature
         tree.threshold[node] = cand.threshold
         tree.default_left[node] = cand.default_left
-        tree.left[node] = tree.add_leaf(leaf_weight(cand.g_left, cand.h_left, config.lam))
-        tree.right[node] = tree.add_leaf(leaf_weight(cand.g_right, cand.h_right, config.lam))
+        left_value = leaf_weight(cand.g_left, cand.h_left, config.lam)
+        right_value = leaf_weight(cand.g_right, cand.h_right, config.lam)
+        tree.left[node] = tree.add_leaf(left_value)
+        tree.right[node] = tree.add_leaf(right_value)
+        out[ids] = np.where(go_left, left_value, right_value)
         n_leaves += 1
 
         left, right = partition_sorted(node_rows, side, cand.n_left)

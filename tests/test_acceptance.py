@@ -170,7 +170,8 @@ def test_criterion_04_split_oracle():
         g = rng.normal(size=n)
         h = rng.uniform(0.1, 2.0, size=n)
         columns = np.where(miss, np.nan, cols)
-        tree = grow_tree(columns, presort(columns, np.arange(n)), np.arange(n), g, h, cfg)
+        tree = grow_tree(columns, presort(columns, np.arange(n)), np.arange(n), g, h, cfg,
+                         np.empty(n))
         expected = brute_force_best(cols, miss, g, h, cfg)
         feature, threshold, default_left = tree.feature[0], tree.threshold[0], tree.default_left[0]
         if expected is None:

@@ -411,12 +411,16 @@ def test_shorter_fit_is_a_prefix_of_a_longer_one(n_classes, seed, rounds, subsam
     assert predict_raw(short, data).tobytes() == predict_raw(cut, data).tobytes()
 
 
-def grow_on_its_own_sort(columns, order, rows, g, h, config):
+def grow_on_its_own_sort(columns, order, rows, g, h, config, out):
     """grow_tree on the tree's rows alone, sorted for this tree: the per-tree
-    sort that fit's one sort replaces, as the reference it must match."""
+    sort that fit's one sort replaces, as the reference it must match. The
+    subset's outputs go back to ``out`` at the rows' ids."""
     sub = columns.take(rows, axis=1)
     ids = np.arange(len(rows))
-    return grow_tree(sub, presort(sub, ids), ids, g[rows], h[rows], config)
+    sub_out = np.empty(len(rows))
+    tree = grow_tree(sub, presort(sub, ids), ids, g[rows], h[rows], config, sub_out)
+    out[rows] = sub_out
+    return tree
 
 
 @settings(max_examples=30, deadline=None)
@@ -571,3 +575,66 @@ def test_fit_workers_take_the_data_they_inherit(monkeypatch):
     targets = [(train.labels == k).astype(np.int64) for k in range(3)]
     inherited = [*train.columns, *order.T, *targets]  # each feature's values and sort
     assert not [block for block in inherited if block.tobytes() in sent]
+
+
+def column_targets(data):
+    if data.n_classes == 2:
+        return [data.labels]
+    return [(data.labels == k).astype(np.int64) for k in range(data.n_classes)]
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("cores", [1, 2])
+def test_train_loss_history_is_the_loss_of_each_cut_model(monkeypatch, n_classes, cores):
+    pools = record_pools(monkeypatch, cores)
+    train, _ = multiclass_split(3, n_classes)
+    cfg = BoosterConfig(loss=LossSpec("rfl", r=1.0), tree=tiny_tree(lam=1.0), learning_rate=0.5,
+                        n_rounds=6, n_classes=n_classes, seed=5, subsample=0.7)
+    model = fit(train, cfg)
+    assert pools == ([2] if cores == 2 and n_classes > 2 else [])
+    assert len(model.train_loss_history) == cfg.n_rounds
+    for t, loss in enumerate(model.train_loss_history):
+        cut = replace(model, trees=[lst[: t + 1] for lst in model.trees])
+        raw = predict_raw(cut, train)
+        z = raw[None] if n_classes == 2 else raw.T
+        assert loss == booster_module._mean_loss(cfg.loss, column_targets(train), z)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_a_non_finite_gradient_names_the_first_failing_column(monkeypatch, cores):
+    pools = record_pools(monkeypatch, cores)
+    train, _ = multiclass_split(1, 4)
+    real = booster_module.grad_hess
+
+    def grad_hess(spec, yk, zk):
+        g, h = real(spec, yk, zk)
+        k = int(train.labels[np.argmax(yk)])  # the class whose rows are 1 in yk
+        return (np.full_like(g, np.nan), h) if k in (1, 3) else (g, h)
+
+    monkeypatch.setattr(booster_module, "grad_hess", grad_hess)
+    with pytest.raises(AssertionError, match="from the loss layer in score column 1$"):
+        fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=2, n_classes=4))
+    assert pools == ([2] if cores == 2 else [])
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+@pytest.mark.parametrize("subsample", [1.0, 0.7])
+def test_fit_predicts_only_the_rows_outside_a_round_sample(monkeypatch, n_classes, subsample):
+    record_pools(monkeypatch, 1)  # every tree grows in this process, where the count is seen
+    calls, real = [], tree_module.Tree.predict
+
+    def counted(self, columns):
+        calls.append(columns.shape[1])
+        return real(self, columns)
+
+    monkeypatch.setattr(tree_module.Tree, "predict", counted)
+    train, _ = multiclass_split(4, n_classes)
+    cfg = BoosterConfig(loss=CCE, tree=tiny_tree(lam=1.0), n_rounds=4, n_classes=n_classes,
+                        subsample=subsample)
+    model = fit(train, cfg)
+    n_trees = sum(map(len, model.trees))
+    if subsample == 1.0:
+        assert calls == []
+    else:
+        outside = train.n_samples - int(round(subsample * train.n_samples))
+        assert calls == [outside] * n_trees

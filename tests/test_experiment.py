@@ -1,9 +1,11 @@
 import concurrent.futures
+import itertools
 import multiprocessing
 import os
 import re
 import time
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from robustboost.experiment import (TAG_MODEL, ExperimentConfig, MethodSpec, der
                                    fit_tuned, run_sweep, task_metric)
 from robustboost.losses import FAMILIES, loss_value
 from robustboost.metrics import MetricError
-from robustboost.tree import TreeConfig
+from robustboost.tree import Tree, TreeConfig
 
 from pools import record_pools
 
@@ -156,6 +158,54 @@ def test_staged_tuning_matches_one_fit_per_candidate(n_classes, seed, family, gr
     assert serialize(model) == serialize(ref_model)
 
 
+def truncating_fit_tuned(train, method, tree, tune_fraction, tune_seed, model_seed):
+    """fit_tuned scoring each candidate, in ``candidates()`` order, with
+    ``predict_proba`` of its group's longest fit cut to its ``rounds``: the
+    reference for the scores built up one round at a time."""
+    candidates = method.candidates()
+    plan = train_test_split(train, tune_fraction, seed=tune_seed, stratified=True)
+    sub_train = train.subset(plan.train_indices)
+    sub_valid = train.subset(plan.test_indices)
+    best = None
+    for (spec, lr), group in itertools.groupby(enumerate(candidates), key=lambda c: c[1][:2]):
+        group = list(group)
+        model = fit(sub_train, BoosterConfig(
+            loss=spec, tree=tree, learning_rate=lr, n_rounds=max(c[2] for _, c in group),
+            n_classes=train.n_classes, seed=model_seed))
+        for i, (_, _, rounds) in group:
+            cut = replace(model, trees=[lst[:rounds] for lst in model.trees])
+            score = task_metric(predict_proba(cut, sub_valid), sub_valid)[1]
+            if best is None or score > best[0]:
+                best = (score, i)
+    spec, lr, rounds = candidates[best[1]]
+    cfg = BoosterConfig(loss=spec, tree=tree, learning_rate=lr,
+                        n_rounds=rounds, n_classes=train.n_classes, seed=model_seed)
+    return fit(train, cfg), cfg
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
+       family=st.sampled_from(["cce", "rfl"]),
+       grid_lr=st.sampled_from([(0.3,), (0.8, 0.1)]),
+       grid_rounds=st.sampled_from([(9, 3, 5), (6, 6, 8), (2, 7, 2, 1), (4,), (5, 5)]))
+def test_round_by_round_scores_match_predicting_each_cut_model(n_classes, seed, family, grid_lr,
+                                                               grid_rounds):
+    rng = np.random.default_rng(seed)
+    X = np.round(rng.normal(size=(90, 3)), 1)
+    y = (X[:, 0] + rng.normal(scale=0.7, size=90) > 0).astype(int) + (
+        X[:, 1] > 0.5 if n_classes == 3 else 0)
+    X[rng.random(X.shape) < 0.1] = np.nan
+    train = from_arrays(X, y, class_names=[str(k) for k in range(n_classes)])
+    method = MethodSpec(name=family, family=family, grid_r=(0.5, 2.0), grid_q=(0.5,),
+                        grid_lr=grid_lr, grid_rounds=grid_rounds)
+    args = (train, method, TreeConfig(max_leaves=4), 0.75, seed + 1, seed + 2)
+    model, cfg = fit_tuned(*args)
+    ref_model, ref_cfg = truncating_fit_tuned(*args)
+    assert (cfg.loss, cfg.learning_rate, cfg.n_rounds) == \
+        (ref_cfg.loss, ref_cfg.learning_rate, ref_cfg.n_rounds)
+    assert serialize(model) == serialize(ref_model)
+
+
 def tuned_pick(**grids):
     _, cfg = fit_tuned(synthetic.make("imbalanced", seed=7),
                        MethodSpec(name="mae", family="mae", **grids),
@@ -200,6 +250,27 @@ def test_one_tuning_fit_per_loss_and_learning_rate(monkeypatch):
     assert [rounds for _, rounds in calls] == [8, 8, cfg.n_rounds]
     assert calls[0][0] < train.n_samples and calls[2][0] == train.n_samples
     assert len(model.trees[0]) == cfg.n_rounds
+
+
+@pytest.mark.parametrize("n_classes", [2, 3])
+def test_fit_tuned_predicts_each_tuning_tree_once_on_the_tuning_rows(monkeypatch, n_classes):
+    record_pools(monkeypatch, 1)  # every tree grows in this process, where the count is seen
+    calls, real = [], Tree.predict
+
+    def counted(self, columns):
+        calls.append(columns.shape[1])
+        return real(self, columns)
+
+    monkeypatch.setattr(Tree, "predict", counted)
+    train = sweep_dataset(n_classes, seed=3)
+    method = MethodSpec(name="rfl", family="rfl", grid_r=(0.5, 2.0), grid_q=(0.5,),
+                        grid_lr=(0.1, 0.3), grid_rounds=(5, 2, 5))
+    fit_tuned(train, method, TreeConfig(max_leaves=4), tune_fraction=0.75, tune_seed=1,
+              model_seed=2)
+    n_tuning = len(train_test_split(train, 0.75, seed=1, stratified=True).test_indices)
+    n_cols = 1 if n_classes == 2 else n_classes
+    # four (loss, lr) groups, each a 5-round fit
+    assert calls == [n_tuning] * (4 * 5 * n_cols)
 
 
 def per_cell_run_sweep(cfg, out_dir, dataset, dataset_name):

@@ -22,6 +22,17 @@ def fit_sort(columns):
     return presort(columns, np.arange(columns.shape[1]))
 
 
+def grow(columns, rows, g, h, config):
+    """grow_tree on the fit's sort, checking that the outputs it writes on
+    ``rows`` are the tree's ``predict``, bitwise, and that it writes no other row."""
+    out = np.full(columns.shape[1], np.inf)
+    tree = grow_tree(columns, fit_sort(columns), rows, g, h, config, out)
+    expected = np.full(columns.shape[1], np.inf)
+    expected[rows] = tree.predict(columns)[rows]
+    assert out.tobytes() == expected.tobytes()
+    return tree
+
+
 def brute_force_best(columns, missing, g, h, config):
     """Enumerate every (feature, threshold, missing-direction) split."""
     n = len(g)
@@ -70,8 +81,8 @@ class TestLeafFormulas:
     def test_a_root_whose_denominator_is_exactly_denom_eps_weighs_zero(self, sum_h):
         # the root guard (sum_h below min_sum_hessian) keeps the root a leaf
         cols = columns_from(np.array([[0.0], [1.0]]))
-        tree = grow_tree(cols, fit_sort(cols), np.arange(2), np.array([1.0, 1.0]),
-                         np.array([sum_h, 0.0]), TreeConfig(lam=0.0))
+        tree = grow(cols, np.arange(2), np.array([1.0, 1.0]), np.array([sum_h, 0.0]),
+                    TreeConfig(lam=0.0))
         assert tree.value == [0.0] and tree.feature == [-1]
 
     def test_a_node_whose_denominator_is_exactly_denom_eps_is_not_scanned(self, monkeypatch):
@@ -81,8 +92,7 @@ class TestLeafFormulas:
                             lambda *args: calls.append(1) or real(*args))
         cols = columns_from(np.array([[0.0], [1.0]]))
         g, h = np.array([1.0, -1.0]), np.full(2, DENOM_EPS / 2)  # h sums to DENOM_EPS exactly
-        tree = grow_tree(cols, fit_sort(cols), np.arange(2), g, h,
-                         TreeConfig(lam=0.0, min_sum_hessian=0.0))
+        tree = grow(cols, np.arange(2), g, h, TreeConfig(lam=0.0, min_sum_hessian=0.0))
         assert tree.value == [0.0] and tree.feature == [-1]
         assert calls == []  # the scan's parent guard returned before any pass
 
@@ -169,7 +179,7 @@ class TestGrowTree:
         g = np.array([-0.5])
         h = np.array([0.25])
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0)
-        tree = grow_tree(cols, fit_sort(cols), np.arange(1), g, h, config)
+        tree = grow(cols, np.arange(1), g, h, config)
         assert len(tree.feature) == 1
         npt.assert_allclose(tree.value[0], 2.0)
 
@@ -179,7 +189,7 @@ class TestGrowTree:
         h = np.ones(4)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1,
                             max_leaves=2)
-        tree = grow_tree(cols, fit_sort(cols), np.arange(4), g, h, config)
+        tree = grow(cols, np.arange(4), g, h, config)
         assert tree.n_leaves == 2
         pred = tree.predict(cols)
         npt.assert_allclose(pred, [1.0, 1.0, -1.0, -1.0])
@@ -191,7 +201,7 @@ class TestGrowTree:
         g = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
         h = np.ones(6)
         config = TreeConfig(lam=0.0, min_sum_hessian=0.0, min_samples_leaf=1)
-        tree = grow_tree(cols, fit_sort(cols), np.arange(6), g, h, config)
+        tree = grow(cols, np.arange(6), g, h, config)
         assert all(f != 0 for f in tree.feature if f != -1)
         assert tree.n_leaves >= 2
 
@@ -203,7 +213,7 @@ class TestGrowTree:
         h = np.ones(100)
         config = TreeConfig(lam=0.1, max_leaves=5, max_depth=20,
                             min_sum_hessian=0.0)
-        tree = grow_tree(cols, fit_sort(cols), np.arange(100), g, h, config)
+        tree = grow(cols, np.arange(100), g, h, config)
         assert tree.n_leaves <= 5
 
     def test_max_depth_cap(self):
@@ -214,7 +224,7 @@ class TestGrowTree:
         h = np.ones(100)
         config = TreeConfig(lam=0.1, max_leaves=1000, max_depth=2,
                             min_sum_hessian=0.0)
-        tree = grow_tree(cols, fit_sort(cols), np.arange(100), g, h, config)
+        tree = grow(cols, np.arange(100), g, h, config)
 
         def depth(node_id, d):
             if tree.feature[node_id] == -1:
@@ -235,7 +245,7 @@ class TestGrowTree:
             h = rng.uniform(0.05, 1.0, size=n)
             cols = columns_from(X)
             expected = brute_force_best(cols, np.isnan(cols), g, h, config)
-            tree = grow_tree(cols, fit_sort(cols), np.arange(n), g, h, config)
+            tree = grow(cols, np.arange(n), g, h, config)
             if expected is None:
                 assert tree.n_leaves == 1
             else:
@@ -270,7 +280,7 @@ class TestGrowTree:
                 k = int(frac * 200)
                 if k:
                     hh[r2.choice(200, k, replace=False)] *= -1
-                tree = grow_tree(cols, fit_sort(cols), np.arange(200), g, hh, config)
+                tree = grow(cols, np.arange(200), g, hh, config)
                 leaves.append(tree.n_leaves)
             medians.append(np.median(leaves))
         assert medians[0] >= medians[1] >= medians[2]
@@ -281,7 +291,7 @@ class TestGrowTree:
         cols = columns_from(X)
         g = rng.normal(size=50)
         h = np.ones(50)
-        tree = grow_tree(cols, fit_sort(cols), np.arange(50), g, h, TreeConfig(lam=0.1))
+        tree = grow(cols, np.arange(50), g, h, TreeConfig(lam=0.1))
         clone = Tree.from_dict(tree.to_dict())
         npt.assert_array_equal(tree.predict(cols), clone.predict(cols))
 
@@ -294,7 +304,7 @@ def test_root_sums_follow_row_ids():
         cols = columns_from(rng.normal(size=(200, 3)))
         g, h = rng.normal(size=200), rng.uniform(0.1, 1.0, size=200)
         rows = np.sort(rng.choice(200, 150, replace=False))
-        tree = grow_tree(cols, fit_sort(cols), rows, g, h, TreeConfig(lam=1.0))
+        tree = grow(cols, rows, g, h, TreeConfig(lam=1.0))
         assert tree.n_leaves > 1
         assert tree.value[0] == leaf_weight(float(g[rows].sum()), float(h[rows].sum()), 1.0)
 
@@ -314,7 +324,7 @@ def test_grown_tree_structure(seed, n, m, missing_rate, negated, max_depth, max_
     h = rng.uniform(0.1, 1.0, size=n) * np.where(rng.random(n) < negated, -1.0, 1.0)
     config = TreeConfig(lam=lam, min_sum_hessian=0.0, max_depth=max_depth,
                         max_leaves=max_leaves, min_samples_leaf=min_samples_leaf)
-    tree = grow_tree(cols, fit_sort(cols), np.arange(n), g, h, config)
+    tree = grow(cols, np.arange(n), g, h, config)
 
     n_nodes = len(tree.feature)
     assert all(len(getattr(tree, c)) == n_nodes for c in TREE_FIELDS)
@@ -348,7 +358,7 @@ def test_no_split_search_past_the_leaf_cap(monkeypatch):
     for max_leaves, searches in ((1, 0), (2, 1)):
         calls.clear()
         config = TreeConfig(lam=0.1, min_sum_hessian=0.0, max_leaves=max_leaves)
-        tree = grow_tree(cols, fit_sort(cols), np.arange(100), g, h, config)
+        tree = grow(cols, np.arange(100), g, h, config)
         assert tree.n_leaves == max_leaves
         assert len(calls) == searches
 
@@ -369,7 +379,7 @@ def test_leaf_values_match_the_rows_routed_to_them(data, n, m, max_leaves, lam):
     h = np.array(data.draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))) / 4.0
     rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
     config = TreeConfig(lam=lam, min_sum_hessian=0.0, max_leaves=max_leaves)
-    tree = grow_tree(cols, fit_sort(cols), rows, g, h, config)
+    tree = grow(cols, rows, g, h, config)
 
     node_ids = Tree(**{**tree.to_dict(), "value": list(range(len(tree.value)))})
     leaf_of = node_ids.predict(cols[:, rows])
@@ -398,8 +408,7 @@ def test_split_search_reads_each_node_presorted(data, n, m, max_leaves):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tree_module, "best_split", recorded)
-        grow_tree(cols, fit_sort(cols), rows, g, h,
-                  TreeConfig(lam=1.0, min_sum_hessian=0.0, max_leaves=max_leaves))
+        grow(cols, rows, g, h, TreeConfig(lam=1.0, min_sum_hessian=0.0, max_leaves=max_leaves))
     if rows.size >= 2:
         npt.assert_array_equal(seen[0], presort(cols, rows))
     for node_rows in seen:
@@ -628,3 +637,26 @@ class TestDecomposedGain:
     def test_zero_when_tau_equals_mu(self, G, H, mu, theta):
         s = GainScenario(G=G, H=H, mu=mu, nu=0.5, theta=theta, tau=mu, lam=0.0)
         assert abs(decomposed_gain(s)) < 1e-12 * max(1.0, G * G / (theta * H))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), m=st.integers(0, 3),
+       min_samples_leaf=st.integers(1, 4), lam=st.sampled_from([0.0, 1.0]),
+       max_leaves=st.integers(1, 12), h_scale=st.sampled_from([1.0, -0.5, 1e-6]),
+       subsampled=st.booleans())
+def test_grown_outputs_are_the_trees_predictions(data, n, m, min_samples_leaf, lam, max_leaves,
+                                                 h_scale, subsampled):
+    # NaN cells, tied values and zero features; h_scale 1e-6 puts the root's
+    # Hessian sum below min_sum_hessian, and -0.5 negates part of it
+    cells = data.draw(st.lists(st.sampled_from(SPLIT_VALUES), min_size=n * m, max_size=n * m))
+    cols = columns_from(np.reshape(cells, (n, m)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = rng.normal(size=n)
+    h = rng.uniform(0.1, 1.0, size=n) * np.where(rng.random(n) < 0.3, h_scale, abs(h_scale))
+    rows = np.arange(n)
+    if subsampled:
+        rows = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    config = TreeConfig(lam=lam, min_samples_leaf=min_samples_leaf, max_leaves=max_leaves)
+    tree = grow(cols, rows, g, h, config)  # checks the outputs it writes
+    if h[rows].sum() < config.min_sum_hessian:
+        assert tree.feature == [-1]
