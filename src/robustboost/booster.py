@@ -251,13 +251,13 @@ def staged_proba(model: BoosterModel, data: TabularDataset, stages):
 
 def predict_raw(model: BoosterModel, data: TabularDataset):
     """Accumulated raw scores of every tree (see ``staged_raw``)."""
-    (z,) = staged_raw(model, data, [max(map(len, model.trees))])
+    (z,) = staged_raw(model, data, [len(model.trees[0])])
     return z
 
 
 def predict_proba(model: BoosterModel, data: TabularDataset):
     """Class probabilities of every tree (see ``staged_proba``)."""
-    (p,) = staged_proba(model, data, [max(map(len, model.trees))])
+    (p,) = staged_proba(model, data, [len(model.trees[0])])
     return p
 
 
@@ -317,6 +317,10 @@ def deserialize(text: str) -> BoosterModel:
             f"a {config.n_classes}-class model needs {n_lists} tree list(s) and "
             f"{config.n_classes} class names, the document has {len(doc['trees'])} "
             f"and {len(doc['class_names'])}")
+    counts = [len(lst) for lst in doc["trees"]]
+    if len(set(counts)) != 1 or not 1 <= counts[0] <= config.n_rounds:
+        raise ModelFormatError(f"the document's tree lists hold {counts} trees; each must hold "
+                               f"the same number, from 1 to n_rounds {config.n_rounds}")
     trees = [[Tree.from_dict(record) for record in lst] for lst in doc["trees"]]
     for tree in (t for lst in trees for t in lst):
         tree.check(len(doc["feature_names"]))

@@ -20,8 +20,8 @@ import numpy as np
 
 from .booster import BoosterConfig, align, deserialize, fit, predict_proba, serialize
 from .data import write_csv
-from .experiment import (ExperimentConfig, MethodSpec, load_experiment_dataset, metric_name,
-                         read_results, run_ablation, run_sweep, task_metric)
+from .experiment import (DEFAULT_DATASET, ExperimentConfig, MethodSpec, load_experiment_dataset,
+                         metric_name, read_results, run_ablation, run_sweep, task_metric)
 from .losses import LossSpec
 from .metrics import MetricError, rank_methods
 from .synthetic import GENERATORS
@@ -88,8 +88,8 @@ def _dataset(text):
 
 # Each row: config keys, their parser, and the subcommands that read them,
 # each mapped to the group whose constructor receives a key under its own
-# name. A key left out of the file keeps the default of the dataclass that
-# owns it.
+# name. A key left out of the file keeps the default of that constructor:
+# load_experiment_dataset's for the data keys, else the owning dataclass's.
 _DATA = dict.fromkeys(("predict", "train", "sweep", "ablate"), "data")
 _TREE = dict.fromkeys(("train", "sweep", "ablate"), "tree")
 _METHOD = dict.fromkeys(("sweep", "ablate"), "method")
@@ -148,7 +148,7 @@ def build_config(command, cfg, seed=0) -> dict:
             specs = {name: MethodSpec(name=name, family=name, **groups["method"])
                      for name in (*names, "rfl")}
             out["experiment"] = ExperimentConfig(
-                **groups["data"], **groups["experiment"], tree=TreeConfig(**groups["tree"]),
+                **groups["experiment"], tree=TreeConfig(**groups["tree"]),
                 method_specs=specs, master_seed=seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -204,14 +204,18 @@ def cmd_predict(args) -> int:
 def cmd_sweep(args) -> int:
     """``sweep`` and ``ablate``: one key set, two experiment drivers."""
     config = build_config(args.command, parse_config_file(args.config), args.seed)
+    data = load_experiment_dataset(**config["data"])
     run = run_ablation if args.command == "ablate" else run_sweep
-    rows = run(config["experiment"], args.out)
+    rows = run(config["experiment"], args.out, data,
+               config["data"].get("dataset", DEFAULT_DATASET))
     print(f"{args.command} done: {len(rows)} result rows in {args.out}/results.csv")
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
     rows = read_results(args.results)
+    if not rows:
+        raise ValueError(f"{args.results} holds no result rows")
     methods = sorted({r.method for r in rows})
     cells = {}
     for r in rows:

@@ -32,8 +32,6 @@ from .tree import TreeConfig
 TAG_SPLIT, TAG_NOISE, TAG_TUNE, TAG_MODEL = 1, 2, 3, 4
 
 DEFAULT_DATASET = "synthetic:imbalanced"
-DEFAULT_LABEL_COLUMN = "label"
-DEFAULT_SYNTHETIC_SEED = 12345
 DEFAULT_NOISE_LEVELS = (0.0, 0.1, 0.2, 0.3, 0.4)
 DEFAULT_GRID_R = (0.5, 1.0, 2.0)
 DEFAULT_GRID_Q = (0.3, 0.5, 0.7)
@@ -89,9 +87,6 @@ class MethodSpec:
 
 @dataclass
 class ExperimentConfig:
-    dataset: str = DEFAULT_DATASET
-    label_column: str = DEFAULT_LABEL_COLUMN
-    synthetic_seed: int = DEFAULT_SYNTHETIC_SEED
     noise_levels: tuple = DEFAULT_NOISE_LEVELS
     repeats: int = 5
     fraction: float = 0.8
@@ -125,8 +120,8 @@ class ExperimentConfig:
 
 
 def load_experiment_dataset(dataset: str = DEFAULT_DATASET,
-                            label_column: str = DEFAULT_LABEL_COLUMN,
-                            synthetic_seed: int = DEFAULT_SYNTHETIC_SEED) -> TabularDataset:
+                            label_column: str = "label",
+                            synthetic_seed: int = 12345) -> TabularDataset:
     """``synthetic:<name>`` generates a bundled dataset; anything else is a CSV path."""
     if dataset.startswith("synthetic:"):
         return synthetic.make(dataset.split(":", 1)[1], seed=synthetic_seed)
@@ -212,12 +207,12 @@ class SweepRow:
     params: str
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
-              dataset: TabularDataset = None, dataset_name: str = None):
-    """Full noise sweep. Per repeat, one train/test split; per noise level,
-    one noise draw and its flip log (with dataset-global sample indices); per
-    method, one cell: a tuned fit scored on the test rows. Writes the flip
-    logs, then results.csv and summary.csv, into ``out_dir``.
+def run_sweep(cfg: ExperimentConfig, out_dir: str, dataset: TabularDataset, dataset_name: str):
+    """Full noise sweep of ``cfg.methods`` on ``dataset``, whose name fills
+    results.csv's ``dataset`` column. Per repeat, one train/test split; per
+    noise level, one noise draw and its flip log (with dataset-global sample
+    indices); per method, one cell: a tuned fit scored on the test rows.
+    Writes the flip logs, then results.csv and summary.csv, into ``out_dir``.
 
     The cells run on one worker process per usable core, never more than
     there are cells; with one worker, in this process. A cell holds only its
@@ -231,12 +226,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, methods=None,
     raises.
     """
     os.makedirs(out_dir, exist_ok=True)
-    if dataset is None:
-        dataset = load_experiment_dataset(cfg.dataset, cfg.label_column, cfg.synthetic_seed)
-    if dataset_name is None:
-        dataset_name = cfg.dataset
-    if methods is None:
-        methods = [cfg.resolve_method(m) for m in cfg.methods]
+    methods = [cfg.resolve_method(m) for m in cfg.methods]
     n_classes = dataset.n_classes
 
     keys, cells = [], []
@@ -283,18 +273,18 @@ def _run_cell(dataset, cell):
     return metric_name, value, params
 
 
-def run_ablation(cfg: ExperimentConfig, out_dir: str, dataset=None, dataset_name=None):
-    """Sweep three variants with everything else fixed: the full focal robust
+def run_ablation(cfg: ExperimentConfig, out_dir: str, dataset: TabularDataset, dataset_name: str):
+    """``run_sweep`` of three variants of ``cfg``'s rfl method, whatever
+    ``cfg.methods`` lists, with everything else fixed: the full focal robust
     loss, its r=0 degeneration, and its q->0 degeneration.
     """
     base = cfg.resolve_method("rfl")
-    variants = [
-        replace(base, name="rfl_full"),
-        replace(base, name="rfl_r0", grid_r=(0.0,)),
-        replace(base, name="rfl_q0", grid_q=(Q_ZERO,)),
-    ]
-    return run_sweep(cfg, out_dir, methods=variants, dataset=dataset,
-                     dataset_name=dataset_name)
+    variants = (replace(base, name="rfl_full"),
+                replace(base, name="rfl_r0", grid_r=(0.0,)),
+                replace(base, name="rfl_q0", grid_q=(Q_ZERO,)))
+    return run_sweep(replace(cfg, methods=tuple(v.name for v in variants),
+                             method_specs={v.name: v for v in variants}),
+                     out_dir, dataset, dataset_name)
 
 
 def _write_results(rows, path):

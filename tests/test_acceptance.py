@@ -16,7 +16,7 @@ from robustboost.booster import BoosterConfig, fit, predict_proba, predict_raw
 from robustboost.cli import main as cli_main
 from robustboost.data import from_arrays
 from robustboost.experiment import (ExperimentConfig, MethodSpec, Q_ZERO,
-                                    run_ablation, run_sweep)
+                                    load_experiment_dataset, run_ablation, run_sweep)
 from robustboost.losses import (LossSpec, check_necessary_condition, grad_hess,
                                 loss_d1_d2, loss_value, make_phat, sigmoid)
 from robustboost.metrics import aucpr
@@ -64,11 +64,11 @@ BENCH_CCE = MethodSpec(name="cce", family="cce", grid_lr=(0.3,), grid_rounds=(10
 ABLATION_RFL = MethodSpec(name="rfl", family="rfl", grid_r=(2.0,), grid_q=(0.7,),
                           grid_lr=(0.3,), grid_rounds=(100,))
 BENCH_SEED = 42
+BENCH_DATASET = "synthetic:imbalanced"
 
 
 def bench_config(noise_levels, methods=("rfl", "cce")):
     return ExperimentConfig(
-        dataset="synthetic:imbalanced",
         noise_levels=noise_levels,
         repeats=10,
         methods=methods,
@@ -259,7 +259,7 @@ def robustness_rows(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("bench"))
     cfg = bench_config((0.0, 0.3))
     t0 = time.time()
-    rows = run_sweep(cfg, out)
+    rows = run_sweep(cfg, out, load_experiment_dataset(BENCH_DATASET), BENCH_DATASET)
     return rows, time.time() - t0
 
 
@@ -283,7 +283,8 @@ def test_criterion_10_ablation_shape(tmp_path):
     # so the ablation sees the identical noise realizations
     cfg = bench_config((0.0, 0.3), methods=("rfl",))
     cfg.method_specs = {"rfl": ABLATION_RFL}
-    rows = run_ablation(cfg, str(tmp_path))
+    rows = run_ablation(cfg, str(tmp_path), load_experiment_dataset(BENCH_DATASET),
+                        BENCH_DATASET)
     med = medians(rows)
     full, r0 = med[("rfl_full", 0.3)], med[("rfl_r0", 0.3)]
     dt = budget(10, "ablation", t0, 180.0)

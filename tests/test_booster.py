@@ -277,6 +277,12 @@ class TestSerialization:
          "booster record has early_stopping_rounds 2.5"),
         (2, lambda d: d.update(feature_names=5), "the model document has feature_names 5"),
         (3, lambda d: d["trees"].__setitem__(1, {}), "trees are not lists of tree records"),
+        # a fit writes one tree per class per round, at least one round and at most n_rounds
+        (3, lambda d: d["trees"][1].__delitem__(slice(1, None)), "hold [8, 1, 8] trees"),
+        (3, lambda d: [lst.clear() for lst in d["trees"]], "hold [0, 0, 0] trees"),
+        (2, lambda d: d["trees"][0].clear(), "hold [0] trees"),
+        (2, lambda d: d["trees"][0].append(d["trees"][0][0]), "hold [9] trees"),
+        (3, lambda d: d["booster"].update(n_rounds=7), "from 1 to n_rounds 7"),
         # align would read one data column for both of the model's features
         (2, lambda d: d.update(feature_names=["f0", "f0"]), "repeats feature name 'f0'"),
         # align would encode both labels through the first "0"

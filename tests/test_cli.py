@@ -145,6 +145,27 @@ class TestSweepReport:
         rows = read_results(os.path.join(out, "results.csv"))
         assert {r.method for r in rows} == {"rfl_full", "rfl_r0", "rfl_q0"}
 
+    def test_sweep_reads_the_data_keys(self, tmp_path):
+        # the label column sits between the features, under a name the default does not read
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(60, 2))
+        tokens = np.where(X[:, 0] + rng.normal(scale=0.5, size=60) > 0, "pos", "neg")
+        path = tmp_path / "data.csv"
+        path.write_text("a,y,b\n" + "".join(f"{a!r},{t},{b!r}\n"
+                                            for (a, b), t in zip(X.tolist(), tokens)))
+        cfg = write_config(tmp_path, SWEEP_CFG + f"dataset = {path}\nlabel_column = y\n")
+        out = str(tmp_path / "csv")
+        assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+        assert {r.dataset for r in read_results(os.path.join(out, "results.csv"))} == {str(path)}
+
+        flip_logs = []
+        for name, extra in (("default", ""), ("seed3", "synthetic_seed = 3\n")):
+            cfg = write_config(tmp_path, SWEEP_CFG + extra, name=f"{name}.cfg")
+            out = str(tmp_path / name)
+            assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+            flip_logs.append(open(os.path.join(out, "fliplog_g1_r0.csv"), "rb").read())
+        assert flip_logs[0] != flip_logs[1]
+
 
 # one valid value per config key, each different from the key's default
 SAMPLE_VALUES = {
@@ -185,7 +206,7 @@ def code_defaults():
                          "tree": booster.tree}}
     for command in ("sweep", "ablate"):
         exp = build_config(command, {})["experiment"]
-        holders[command] = {"data": exp, "experiment": exp, "tree": exp.tree,
+        holders[command] = {"data": loader, "experiment": exp, "tree": exp.tree,
                             "method": exp.resolve_method("rfl")}
     return {key: {getattr(holders[command][group], key) for command, group in readers.items()}
             for key, (_, readers) in CONFIG_KEYS.items()}
@@ -287,6 +308,21 @@ class TestExitCodes:
         cfg = write_config(tmp_path, f"dataset = {data}\n")
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
         assert "row 4, column 'label': missing label ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    @pytest.mark.parametrize("csv_text,named", [
+        ("a,b,label\n1,2,x\nfoo,3,y\n4,5,x\n", "'foo'"),
+        (None, "No such file"),
+    ], ids=["bad_cell", "no_file"])
+    def test_unreadable_sweep_dataset_exits_1_without_output(self, tmp_path, capsys,
+                                                              command, csv_text, named):
+        data = tmp_path / "data.csv"
+        if csv_text is not None:
+            data.write_text(csv_text)
+        cfg = write_config(tmp_path, SWEEP_CFG + f"dataset = {data}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert named in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     def test_predict_feature_count_mismatch_exits_1(self, tmp_path):
         out = str(tmp_path / "run")
@@ -539,9 +575,18 @@ def test_report_rejects_non_finite_value(tmp_path, capsys):
     assert not (tmp_path / "rep" / "ranks.csv").exists()
 
 
+def test_report_on_a_header_only_results_file_exits_1(tmp_path, capsys):
+    results = write_results(tmp_path, {})
+    code = main(["report", "--results", results, "--out", str(tmp_path / "rep")])
+    assert code == EXIT_RUNTIME
+    assert f"{results} holds no result rows" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("name,command", [("benchmark.cfg", "sweep"), ("ablation.cfg", "ablate")])
 def test_committed_configs_build(name, command):
     path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", name)
-    exp = build_config(command, parse_config_file(path))["experiment"]
-    assert exp.dataset == "synthetic:imbalanced" and exp.repeats == 5
+    built = build_config(command, parse_config_file(path))
+    exp = built["experiment"]
+    assert built["data"]["dataset"] == "synthetic:imbalanced" and exp.repeats == 5
     assert (exp.tree.lam, exp.tree.max_leaves, exp.tree.max_depth) == (1.0, 64, 12)
