@@ -221,19 +221,21 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, dataset: TabularDataset, data
     worker grows its class trees in that worker, one after another; in this
     process it may start its own pool (see ``booster.fit``). No setting
     changes the worker counts. Every cell is seeded on its own, so the files
-    do not depend on the worker count. Every flip log is written before the
-    first cell runs; if cells fail, the first failing one in cell order
-    raises.
+    do not depend on the worker count. Every repeat is split before
+    ``out_dir`` is made, so a dataset that cannot be split leaves no
+    directory; every flip log is written before the first cell runs; if
+    cells fail, the first failing one in cell order raises.
     """
+    plans = [train_test_split(dataset, cfg.fraction,
+                              seed=derive_seed(cfg.master_seed, TAG_SPLIT, rep),
+                              stratified=cfg.stratified)
+             for rep in range(cfg.repeats)]
     os.makedirs(out_dir, exist_ok=True)
     methods = [cfg.resolve_method(m) for m in cfg.methods]
     n_classes = dataset.n_classes
 
     keys, cells = [], []
-    for rep in range(cfg.repeats):
-        plan = train_test_split(dataset, cfg.fraction,
-                                seed=derive_seed(cfg.master_seed, TAG_SPLIT, rep),
-                                stratified=cfg.stratified)
+    for rep, plan in enumerate(plans):
         train_labels = dataset.labels[plan.train_indices]
         test_idx = set(plan.test_indices.tolist())
         for gi, gamma in enumerate(cfg.noise_levels):
@@ -287,8 +289,11 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str, dataset: TabularDataset, d
                      out_dir, dataset, dataset_name)
 
 
+RESULT_COLUMNS = ("dataset", "method", "gamma", "repeat", "metric", "value", "params")
+
+
 def _write_results(rows, path):
-    write_csv(path, ["dataset", "method", "gamma", "repeat", "metric", "value", "params"],
+    write_csv(path, RESULT_COLUMNS,
               ((r.dataset, r.method, r.gamma, r.repeat, r.metric, r.value, r.params)
                for r in rows))
 
@@ -304,7 +309,11 @@ def _write_summary(rows, path):
 def read_results(path):
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for rec in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        absent = [name for name in RESULT_COLUMNS if name not in (reader.fieldnames or ())]
+        if absent:
+            raise ValueError(f"{path} lacks the column(s) {', '.join(map(repr, absent))}")
+        for rec in reader:
             rows.append(SweepRow(rec["dataset"], rec["method"], float(rec["gamma"]),
                                  int(rec["repeat"]), rec["metric"],
                                  float(rec["value"]), rec["params"]))

@@ -23,6 +23,22 @@ denominator degenerate), it is also the first max after the inadmissible
 cuts are masked to -inf, because masking lowers no gain and leaves this one
 as it is. Only otherwise does the pass build the mask and take the argmax
 again.
+
+Two kernels compute the same splits, bit for bit; ``best_split`` picks one
+by node size. ``_scan_feature`` scans one feature at a time on present-only
+views. ``_scan_node`` scans every feature of a node in one pass over (F, m)
+blocks: row-wise cumsums, which are sequential and so each feature's prefix
+sums; each feature's 1-D sum of its NaN suffix; the gains of both directions
+in one (F, 2, m - 1) buffer; and one argmax, whose flat order (feature,
+direction, threshold) is the tie order above. Its number of numpy calls does
+not grow with F, which pays on small nodes, where per-call overhead costs
+more than the arithmetic. Trees that split off small minority regions make
+many: in a perfbench ``noise_sweep`` round 73% of the searches were on nodes
+of at most 4 096 rows x features, the median node 28 rows x 4. There a
+search took 29 us against 54 us. On large nodes the (F, m) temporaries leave
+L2 (about 1 MB each at 8 x 16 000), and ``_scan_feature`` is up to 3.4x faster.
+Timed on every node of single-core runs, the crossover lay between 4 096
+and 8 192 cells: ``NODE_CELLS``.
 """
 
 from __future__ import annotations
@@ -35,6 +51,9 @@ from typing import Optional
 import numpy as np
 
 DENOM_EPS = 1e-12
+# best_split scans a node of at most this many rows x features in one
+# _scan_node pass, a larger one feature by feature (see the module docstring)
+NODE_CELLS = 4096
 NUMBER = (int, float)  # the JSON types of a number
 
 
@@ -267,12 +286,82 @@ def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]
                           float(gl), float(hl), float(gr), float(hr), n_left, n - n_left)
 
 
+def _scan_node(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
+    """``best_split`` of the node whose ``presort`` matrix is ``rows``, all
+    features in one pass: the cuts, sums and gains of ``_scan_feature``, bit
+    for bit, in (feature, missing direction, position) blocks."""
+    n, n_features = rows.shape
+    if n < 2 or n_features == 0:
+        return None
+    ids = rows.T  # (F, n): row f lists the node's rows by ascending feature f
+    vals = columns[np.arange(n_features)[:, None], ids]
+    gv, hv = g.take(ids), h.take(ids)
+    cg, ch = np.add.accumulate(gv, axis=1), np.add.accumulate(hv, axis=1)  # sequential
+    # position i is a cut between rows i and i + 1 unless the values tie or
+    # either is NaN; min_samples_leaf bounds the rows left of a cut
+    msl = config.min_samples_leaf
+    no_cut = ~(vals[:, :-1] < vals[:, 1:])
+    missing = np.isnan(vals[:, -1])  # NaN sorts last
+    if missing.any():
+        # direction 1 sends the missing rows left: its bounds shift by their
+        # count, and a feature with none has no such cut
+        n_present = n - np.count_nonzero(np.isnan(vals), axis=1)
+        g_miss, h_miss = np.zeros(n_features), np.zeros(n_features)
+        no_cut = np.stack((no_cut, no_cut | ~missing[:, None]), axis=1)
+        for f in missing.nonzero()[0]:
+            p = int(n_present[f])  # the 1-D sums of _scan_feature, bit for bit
+            g_miss[f], h_miss[f] = gv[f, p:].sum(), hv[f, p:].sum()
+            no_cut[f, 1, :max(msl - 1 - (n - p), 0)] = no_cut[f, 1, max(p - msl, 0):] = True
+        last = np.arange(n_features), n_present - 1
+        GL, HL = np.empty(no_cut.shape), np.empty(no_cut.shape)
+        GL[:, 0], HL[:, 0] = cg[:, :-1], ch[:, :-1]
+        np.add(cg[:, :-1], g_miss[:, None], out=GL[:, 1])
+        np.add(ch[:, :-1], h_miss[:, None], out=HL[:, 1])
+    else:
+        g_miss = h_miss = 0.0
+        last = np.s_[:, -1]
+        no_cut, GL, HL = no_cut[:, None], cg[:, None, :-1], ch[:, None, :-1]
+    no_cut[:, 0, :msl - 1] = no_cut[:, 0, max(n - msl, 0):] = True
+    G_tot, H_tot = cg[last] + g_miss, ch[last] + h_miss
+
+    denom_p = H_tot + config.lam
+    live = abs(denom_p) > DENOM_EPS
+    if not live.any():
+        return None
+    no_cut |= ~live[:, None, None]
+    parent_term = (G_tot * G_tot / denom_p)[:, None, None]
+    GR, HR = G_tot[:, None, None] - GL, H_tot[:, None, None] - HL
+    dl, dr = HL + config.lam, HR + config.lam
+    gain = 0.5 * (GL * GL / dl + GR * GR / dr - parent_term)
+    np.copyto(gain, -np.inf, where=no_cut)
+    # the first max, or the first NaN, in (feature, direction, position) order,
+    # the ties' order; if admissible, it is also the first max after masking
+    msh = config.min_sum_hessian
+    at = np.unravel_index(int(gain.argmax()), gain.shape)
+    if _inadmissible(gain[at], HL[at], HR[at], dl[at], dr[at], msh):
+        np.copyto(gain, -np.inf, where=_inadmissible(gain, HL, HR, dl, dr, msh))
+        at = np.unravel_index(int(gain.argmax()), gain.shape)
+    if gain[at] < config.min_gain or not np.isfinite(gain[at]):
+        return None
+    f, d, c = (int(i) for i in at)
+    lo, hi = float(vals[f, c]), float(vals[f, c + 1])
+    mid = 0.5 * lo + 0.5 * hi  # as in _scan_feature
+    n_left = c + 1 + (int(np.isnan(vals[f]).sum()) if d else 0)
+    return SplitCandidate(f, mid if mid < hi else lo, float(gain[at]), d == 1,
+                          float(GL[at]), float(HL[at]), float(GR[at]), float(HR[at]),
+                          n_left, n - n_left)
+
+
 def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
     """Exact greedy search over all features for the node whose ``presort``
-    matrix is ``rows``. Gain ties go to the lowest feature index, then
-    missing rows right, then the lowest threshold."""
+    matrix is ``rows``: in one ``_scan_node`` pass if it has at most
+    ``NODE_CELLS`` rows x features, else feature by feature. Gain ties go to
+    the lowest feature index, then missing rows right, then the lowest
+    threshold."""
     best = None
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if rows.size <= NODE_CELLS:
+            return _scan_node(columns, rows, g, h, config)
         for f in range(len(columns)):
             ids = rows[:, f]
             cand = _scan_feature(f, columns[f].take(ids), g.take(ids), h.take(ids), config)
@@ -344,13 +433,12 @@ def grow_tree(columns, order, rows, g, h, config: TreeConfig, out) -> Tree:
 @dataclass(frozen=True)
 class GainScenario:
     """Parameterized gain after part of a node's Hessian mass is negated:
-    G_L = mu*G, H_L = nu*H, perturbed sum Hhat = theta*H, Hhat_L = tau*Hhat.
+    G_L = mu*G, perturbed sum Hhat = theta*H, Hhat_L = tau*Hhat.
     """
 
     G: float
     H: float
     mu: float
-    nu: float
     theta: float
     tau: float
     lam: float = 0.0

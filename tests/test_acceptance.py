@@ -202,7 +202,7 @@ def test_criterion_05_decomposed_gain_identity():
         mu = float(rng.uniform(0.05, 0.95))
         sc = GainScenario(G=float(rng.uniform(-5, 5)),
                           H=float(rng.uniform(0.1, 5)),
-                          mu=mu, nu=float(rng.uniform(0.05, 0.95)),
+                          mu=mu,
                           theta=float(rng.uniform(0.1, 1.0)),
                           tau=mu, lam=0.0)
         worst = max(worst, abs(decomposed_gain(sc)))

@@ -324,6 +324,15 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    def test_unsplittable_sweep_dataset_exits_1_without_output(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b,label\n1,2,x\n")  # loads, but one row cannot be split
+        cfg = write_config(tmp_path, SWEEP_CFG + f"dataset = {data}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert "fewer than 2 samples" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_predict_feature_count_mismatch_exits_1(self, tmp_path):
         out = str(tmp_path / "run")
         assert main(["train", "--config", write_config(tmp_path, TRAIN_CFG),
@@ -580,6 +589,16 @@ def test_report_on_a_header_only_results_file_exits_1(tmp_path, capsys):
     code = main(["report", "--results", results, "--out", str(tmp_path / "rep")])
     assert code == EXIT_RUNTIME
     assert f"{results} holds no result rows" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_report_on_a_results_file_that_lacks_columns_exits_1(tmp_path, capsys):
+    results = tmp_path / "results.csv"
+    results.write_text("dataset,method,gamma\nd,a,0.0\n")
+    code = main(["report", "--results", str(results), "--out", str(tmp_path / "rep")])
+    assert code == EXIT_RUNTIME
+    assert (f"{results} lacks the column(s) 'repeat', 'metric', 'value', 'params'"
+            in capsys.readouterr().err)
     assert not (tmp_path / "rep").exists()
 
 

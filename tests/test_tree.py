@@ -12,6 +12,14 @@ from robustboost.tree import (DENOM_EPS, TREE_FIELDS, GainScenario, SplitCandida
                               partition_sorted, presort)
 
 
+def each_kernel(monkeypatch):
+    """Yield twice: with every node's split search feature by feature
+    (``_scan_feature``), then with every node's in one ``_scan_node`` pass."""
+    for node_cells in (0, 2**62):
+        monkeypatch.setattr(tree_module, "NODE_CELLS", node_cells)
+        yield node_cells
+
+
 def columns_from(X):
     """The (n_features, n) matrix of an (n, n_features) array, NaN for missing."""
     return np.ascontiguousarray(np.asarray(X, dtype=float).T)
@@ -92,9 +100,10 @@ class TestLeafFormulas:
                             lambda *args: calls.append(1) or real(*args))
         cols = columns_from(np.array([[0.0], [1.0]]))
         g, h = np.array([1.0, -1.0]), np.full(2, DENOM_EPS / 2)  # h sums to DENOM_EPS exactly
-        tree = grow(cols, np.arange(2), g, h, TreeConfig(lam=0.0, min_sum_hessian=0.0))
-        assert tree.value == [0.0] and tree.feature == [-1]
-        assert calls == []  # the scan's parent guard returned before any pass
+        for _ in each_kernel(monkeypatch):
+            tree = grow(cols, np.arange(2), g, h, TreeConfig(lam=0.0, min_sum_hessian=0.0))
+            assert tree.value == [0.0] and tree.feature == [-1]
+            assert calls == []  # the scan's parent guard returned before any pass
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
@@ -480,10 +489,11 @@ QUARTERS = st.integers(-8, 8).map(lambda k: k / 4.0)  # sums exact in any order:
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), n=st.integers(1, 40), m=st.integers(1, 3),
+@given(data=st.data(), n=st.integers(1, 40), m=st.integers(0, 3),
        lam=st.sampled_from([0.0, 1.0]), min_sum_hessian=st.sampled_from([0.0, 0.5]),
        min_gain=st.sampled_from([0.0, 0.1]))
 def test_split_scan_matches_the_reference_bitwise(data, n, m, lam, min_sum_hessian, min_gain):
+    # one row and no features are nodes too: neither kernel may fail on them
     columns = []
     for _ in range(m):
         kind = data.draw(st.sampled_from(["distinct", "levels", "extremes"]))
@@ -495,7 +505,7 @@ def test_split_scan_matches_the_reference_bitwise(data, n, m, lam, min_sum_hessi
             present = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
         missing = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         columns.append(np.where(missing, np.nan, present))
-    cols = np.array(columns, dtype=float)
+    cols = np.array(columns, dtype=float).reshape(m, n)
     g = np.array(data.draw(st.lists(st.one_of(QUARTERS, st.floats(-4, 4)),
                                     min_size=n, max_size=n)), dtype=float)
     # tenths: sums that should cancel leave a rounding residue, a near-zero denominator;
@@ -519,12 +529,32 @@ def test_split_scan_matches_the_reference_bitwise(data, n, m, lam, min_sum_hessi
             ids = node[:, f]
             assert (bitwise(tree_module._scan_feature(f, cols[f][ids], g[ids], h[ids], config))
                     == bitwise(reference_scan(f, cols[f][ids], g[ids], h[ids], config)))
-    assert bitwise(best_split(cols, node, g, h, config)) == bitwise(
-        reference_best_split(cols, node, g, h, config))
+    expected = bitwise(reference_best_split(cols, node, g, h, config))
+    with pytest.MonkeyPatch.context() as patch:
+        for _ in each_kernel(patch):
+            assert bitwise(best_split(cols, node, g, h, config)) == expected
+
+
+def test_both_kernels_sum_long_missing_suffixes_as_the_reference(monkeypatch):
+    # numpy sums 8 or more values pairwise, not in sequence: the missing rows'
+    # sums must be taken the same way, so that every parent sum and gain keeps its bits.
+    # Feature 0 has no missing rows, so no cut of it sends them left.
+    for seed in range(40):
+        config = TreeConfig(lam=1.0, min_sum_hessian=0.0, min_samples_leaf=1 + seed % 3 * 4)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(60, 3))
+        X[:, 1:][rng.random((60, 2)) < 0.4] = np.nan
+        cols = columns_from(X)
+        g, h = rng.normal(size=60), rng.uniform(-0.2, 1.0, size=60)
+        node = presort(cols, np.arange(60))
+        expected = bitwise(reference_best_split(cols, node, g, h, config))
+        for _ in each_kernel(monkeypatch):
+            assert bitwise(best_split(cols, node, g, h, config)) == expected
 
 
 # masked: whether a pass's unmasked first max fails the admissibility check, so
-# that _scan_feature builds the mask of inadmissible cuts
+# that the scan builds the mask of inadmissible cuts; in these one-feature nodes
+# _scan_node builds it exactly when _scan_feature does
 EDGE_CASES = [
     # after the third row the left sum of h is a rounding residue, 5.6e-17, not 0
     ([0, 1, 2, 3], [1, 1, 1, -1], [0.1, 0.2, -0.3, 1], 0.0, 0.0, 1, True),
@@ -552,6 +582,8 @@ EDGE_CASES = [
     # the first max (gain 2.125, left h 0.25) is below min_sum_hessian; the next cut
     # ties it exactly and wins
     ([0, 1, 2], [1, 1.125, -2.125], [0.25, 1.875, 2.125], 0.0, 0.5, 1, True),
+    # the third case with a missing row, sent right by the best split: g_left is -0.0
+    ([0, 1, 2, 3, np.nan], [-0.0, 2, 2, 2, 2], [1, 1, 1, 1, 1], 1.0, 0.0, 1, False),
 ]
 
 
@@ -566,16 +598,18 @@ def test_split_scan_edge_cases(monkeypatch, x, g, h, lam, min_sum_hessian, min_s
                         min_samples_leaf=min_samples_leaf)
     node = presort(cols, np.arange(len(x)))
     expected = reference_best_split(cols, node, g, h, config)
-    ranks = []  # of the gains each admissibility check is given: 1 for a mask
+    ranks = []  # of the gains each admissibility check is given: 0 for a cut, more for a mask
     real = tree_module._inadmissible
     monkeypatch.setattr(tree_module, "_inadmissible",
                         lambda gain, *rest: ranks.append(np.ndim(gain)) or real(gain, *rest))
-    cand = best_split(cols, node, g, h, config)
-    assert bitwise(cand) == bitwise(expected)
-    assert (1 in ranks) == masked
-    assert cand is not None and cand.gain < 100  # no near-zero denominator chosen
-    assert min(cand.n_left, cand.n_right) >= min_samples_leaf
-    assert min(cand.h_left, cand.h_right) >= min_sum_hessian
+    for _ in each_kernel(monkeypatch):
+        ranks.clear()
+        cand = best_split(cols, node, g, h, config)
+        assert bitwise(cand) == bitwise(expected)
+        assert any(rank > 0 for rank in ranks) == masked
+        assert cand is not None and cand.gain < 100  # no near-zero denominator chosen
+        assert min(cand.n_left, cand.n_right) >= min_samples_leaf
+        assert min(cand.h_left, cand.h_right) >= min_sum_hessian
 
 
 def reference_partition(order, keep, n_kept):
@@ -610,12 +644,12 @@ def test_partition_sorted_matches_boolean_indexing(data, n, m, kind):
 
 class TestDecomposedGain:
     def test_theta_one_restores_plain_gain(self):
-        s = GainScenario(G=2.0, H=4.0, mu=0.3, nu=0.6, theta=1.0, tau=0.6, lam=0.0)
+        s = GainScenario(G=2.0, H=4.0, mu=0.3, theta=1.0, tau=0.6, lam=0.0)
         plain = 2.0**2 * (0.3**2 / (0.6 * 4) + 0.7**2 / (0.4 * 4) - 1 / 4)
         npt.assert_allclose(decomposed_gain(s), plain, rtol=1e-12)
 
     def test_frozen_example(self):
-        s = GainScenario(G=2.0, H=4.0, mu=0.5, nu=0.5, theta=0.5, tau=0.25, lam=0.0)
+        s = GainScenario(G=2.0, H=4.0, mu=0.5, theta=0.5, tau=0.25, lam=0.0)
         npt.assert_allclose(decomposed_gain(s), 4.0 * (0.25 / 0.5 + 0.25 / 1.5 - 0.5),
                             rtol=1e-12)
 
@@ -628,14 +662,14 @@ class TestDecomposedGain:
             (DENOM_EPS, 3.0),
         ):
             with pytest.raises(ZeroDivisionError):
-                decomposed_gain(GainScenario(G=1.0, H=H, mu=0.5, nu=0.5,
+                decomposed_gain(GainScenario(G=1.0, H=H, mu=0.5,
                                              theta=1.0, tau=tau, lam=0.0))
 
     @given(G=st.floats(-10, 10), H=st.floats(0.1, 10),
            mu=st.floats(0.01, 0.99), theta=st.floats(0.01, 0.99))
     @settings(max_examples=500, deadline=None)
     def test_zero_when_tau_equals_mu(self, G, H, mu, theta):
-        s = GainScenario(G=G, H=H, mu=mu, nu=0.5, theta=theta, tau=mu, lam=0.0)
+        s = GainScenario(G=G, H=H, mu=mu, theta=theta, tau=mu, lam=0.0)
         assert abs(decomposed_gain(s)) < 1e-12 * max(1.0, G * G / (theta * H))
 
 
