@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import TabularDataset, check_unique
 from .losses import LossSpec, grad_hess, loss_value, make_phat, sigmoid
-from .pool import fork_pool
+from .pool import run_tasks
 from .tree import (NUMBER, ModelFormatError, Tree, TreeConfig, grow_tree, presort,
                    require_fields)
 
@@ -83,11 +83,6 @@ def _column_loss(spec: LossSpec, yk, zk):
     return np.mean(loss_value(spec, make_phat(yk, sigmoid(zk))))
 
 
-def _mean_loss(spec: LossSpec, targets, z) -> float:
-    """Mean over score columns of each column's mean loss on its 0/1 targets."""
-    return float(np.mean([_column_loss(spec, yk, z[k]) for k, yk in enumerate(targets)]))
-
-
 def _sample_rows(rng, n, subsample):
     if subsample >= 1.0:
         return np.arange(n)
@@ -95,44 +90,73 @@ def _sample_rows(rng, n, subsample):
     return np.sort(rng.choice(n, size=k, replace=False))
 
 
-def _grow_column(state, task):
-    """Score column k's tree for the round's ``rows``, grown from the column's
-    scores ``zk``; the column's scores after the tree, and its mean training
-    loss there. The tree is evaluated only on the rows outside ``rows``:
-    growing it gives its output on ``rows``."""
-    columns, order, targets, config = state
-    k, zk, rows = task
-    g, h = grad_hess(config.loss, targets[k], zk)
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-        raise AssertionError(
-            f"non-finite gradient/Hessian from the loss layer in score column {k}")
-    out = np.empty(zk.size)
-    tree = grow_tree(columns, order, rows, g, h, config.tree, out)
-    if rows.size < zk.size:  # a subsampled round
-        outside = np.ones(zk.size, dtype=bool)
-        outside[rows] = False
-        out[outside] = tree.predict(columns[:, outside])
-    zk = zk + config.learning_rate * out
-    return tree, zk, _column_loss(config.loss, targets[k], zk)
+def _grow_column(state, k):
+    """Score column k's whole tree sequence, grown from zero scores: its
+    trees, its mean training loss after each and, given a validation set,
+    its mean validation loss after each. Column k's trees read only column
+    k's scores, so the columns are independent for the whole fit. Each
+    round's rows replay ``fit``'s draws from ``default_rng(config.seed)``.
+    A tree is evaluated on the training rows only outside its round's rows:
+    growing it gives its output on them."""
+    columns, order, targets, config, valid = state
+    n = columns.shape[1]
+    rng = np.random.default_rng(config.seed)
+    zk, out = np.zeros(n), np.empty(n)
+    trees, train_losses, valid_losses = [], [], []
+    if valid is not None:
+        valid_columns, valid_targets = valid
+        zv = np.zeros(valid_columns.shape[1])
+    for _ in range(config.n_rounds):
+        rows = _sample_rows(rng, n, config.subsample)
+        g, h = grad_hess(config.loss, targets[k], zk)
+        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+            raise AssertionError(
+                f"non-finite gradient/Hessian from the loss layer in score column {k}")
+        tree = grow_tree(columns, order, rows, g, h, config.tree, out)
+        if rows.size < n:  # a subsampled round
+            outside = np.ones(n, dtype=bool)
+            outside[rows] = False
+            out[outside] = tree.predict(columns[:, outside])
+        zk = zk + config.learning_rate * out
+        trees.append(tree)
+        train_losses.append(_column_loss(config.loss, targets[k], zk))
+        if valid is not None:
+            zv = zv + config.learning_rate * tree.predict(valid_columns)
+            valid_losses.append(_column_loss(config.loss, valid_targets[k], zv))
+    return trees, train_losses, valid_losses
+
+
+def _stop_round(history, patience):
+    """The round early stopping ends at, and the best round up to it: the
+    first round ``patience`` rounds past the lowest loss so far, else the
+    last. The best round is None when no loss is below infinity."""
+    best_score, best_round = np.inf, None
+    for t, v in enumerate(history):
+        if v < best_score:
+            best_score, best_round = v, t
+        if best_round is not None and t - best_round >= patience:
+            break
+    return t, best_round
 
 
 def fit(data: TabularDataset, config: BoosterConfig,
         valid: Optional[TabularDataset] = None) -> BoosterModel:
     """Train a boosted ensemble on n_cols score columns: one column with
     targets [y] for binary, one one-vs-all column per class otherwise.
-    A round builds every column's tree from the scores frozen at its start.
-    A column's task returns its tree, the column's new training scores and
-    its mean training loss: growing the tree gives its output on the
-    round's rows, so the tree is evaluated only on the rows a subsampled
-    round left out. This process draws each round's rows, stores the scores,
-    averages the losses, and scores ``valid`` for early stopping.
+    Column k's trees read only column k's scores, so a column's task
+    (``_grow_column``) grows its whole tree sequence and returns its trees
+    and its per-round training and validation losses, never scores. This
+    process averages the columns' losses, in class order, into each
+    round's history entry, then applies early stopping to the validation
+    history: the trees are cut after the best round, the histories after
+    the round the patience ran out.
 
-    A multi-class fit grows each round's class trees on one forked worker
-    per usable core, never more than there are classes, started once for
-    the fit; on one core, and inside a sweep's worker, it grows them in this
-    process. No setting changes this, and the model is the same either way.
-    ``valid`` is matched to the training data's features and classes by
-    name (``align``).
+    A multi-class fit gives its columns to one forked worker per usable
+    core, never more than there are classes, one task per column; on one
+    core, and inside a sweep's worker, it grows them in this process. No
+    setting changes this, and the model is the same either way. ``valid``
+    is matched to the training data's features and classes by name
+    (``align``).
     """
     y = np.asarray(data.labels)
     if data.n_samples == 0:
@@ -147,52 +171,37 @@ def fit(data: TabularDataset, config: BoosterConfig,
                         f"the config has n_classes = {config.n_classes}")
     if config.early_stopping_rounds is not None and valid is None:
         raise BoosterConfigError("early_stopping_rounds needs a validation set (valid)")
+    if valid is not None and valid.n_samples == 0:
+        raise DataError("empty validation set")
 
     def column_targets(labels):
         if config.n_classes == 2:
             return [labels]
         return [(labels == k).astype(np.int64) for k in range(config.n_classes)]
 
-    rng = np.random.default_rng(config.seed)
-    n = data.n_samples
     targets = column_targets(y)
-    model = BoosterModel(trees=[[] for _ in targets], config=config,
-                         feature_names=list(data.feature_names),
+    model = BoosterModel(trees=[], config=config, feature_names=list(data.feature_names),
                          class_names=list(data.class_names))
-    z = np.zeros((len(targets), n))  # one contiguous row of scores per column
+    held_out = None
     if valid is not None:
         valid = align(model, valid)
-        valid_targets = column_targets(valid.labels)
-        z_valid = np.zeros((len(targets), valid.n_samples))
+        held_out = (valid.columns, column_targets(valid.labels))
 
-    order = presort(data.columns, np.arange(n))  # every tree filters this one sort
-    best_score = np.inf
-    best_round = None
-    # workers inherit the per-fit state; a task sends a column's scores and the rows
-    with fork_pool((data.columns, order, targets, config), len(targets)) as run:
-        for t in range(config.n_rounds):
-            rows = _sample_rows(rng, n, config.subsample)
-            grown = run(_grow_column, [(k, z[k], rows) for k in range(len(targets))])
-            for k, (tree, zk, _) in enumerate(grown):
-                model.trees[k].append(tree)
-                z[k] = zk
-                if valid is not None:
-                    z_valid[k] = z_valid[k] + config.learning_rate * tree.predict(valid.columns)
-            model.train_loss_history.append(float(np.mean([loss for _, _, loss in grown])))
-
-            if valid is not None:
-                v = _mean_loss(config.loss, valid_targets, z_valid)
-                model.valid_loss_history.append(v)
-                if v < best_score:
-                    best_score = v
-                    best_round = t
-                if (config.early_stopping_rounds is not None and best_round is not None
-                        and t - best_round >= config.early_stopping_rounds):
-                    break
-
-    if config.early_stopping_rounds is not None and best_round is not None:
-        model.trees = [lst[: best_round + 1] for lst in model.trees]
-        model.best_round = best_round
+    order = presort(data.columns, np.arange(data.n_samples))  # every tree filters this one sort
+    # workers inherit the per-fit state; a task sends only its column's index
+    grown = run_tasks(_grow_column, (data.columns, order, targets, config, held_out),
+                      range(len(targets)))
+    trees, train_losses, valid_losses = zip(*grown)
+    model.trees = list(trees)
+    # a round's entry is the mean of its columns' losses, in class order
+    model.train_loss_history = [float(np.mean(losses)) for losses in zip(*train_losses)]
+    model.valid_loss_history = [float(np.mean(losses)) for losses in zip(*valid_losses)]
+    if config.early_stopping_rounds is not None:
+        stop, best_round = _stop_round(model.valid_loss_history, config.early_stopping_rounds)
+        del model.train_loss_history[stop + 1:], model.valid_loss_history[stop + 1:]
+        if best_round is not None:
+            model.trees = [lst[: best_round + 1] for lst in model.trees]
+            model.best_round = best_round
     return model
 
 

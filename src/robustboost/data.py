@@ -75,6 +75,11 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
     missing cell, and labels."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
+    if X.ndim != 2 or y.ndim != 1:
+        raise ValueError(f"X must be an (n, m) matrix and y a vector of n labels, "
+                         f"got shapes {X.shape} and {y.shape}")
+    if X.shape[0] != y.size:
+        raise ValueError(f"X has {X.shape[0]} rows but y has {y.size} labels")
     if np.isinf(X).any():
         raise ValueError("feature cells must be finite or NaN (missing), found inf")
     if class_names is None:

@@ -26,7 +26,7 @@ from .data import SplitError, TabularDataset, check_unique, load_csv, train_test
 from .losses import CATALOG, LossSpec
 from .metrics import accuracy, aucpr
 from .noise import Flip, NoiseSpec, inject_binary, inject_multiclass, write_flip_log
-from .pool import fork_pool
+from .pool import run_tasks
 from .tree import TreeConfig
 
 TAG_SPLIT, TAG_NOISE, TAG_TUNE, TAG_MODEL = 1, 2, 3, 4
@@ -218,7 +218,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, dataset: TabularDataset, data
     there are cells; with one worker, in this process. A cell holds only its
     split's row indices, its noisy labels and its seeds: a forked worker
     takes the rows from the dataset it inherits. A multi-class fit in a
-    worker grows its class trees in that worker, one after another; in this
+    worker grows its score columns in that worker, one after another; in this
     process it may start its own pool (see ``booster.fit``). No setting
     changes the worker counts. Every cell is seeded on its own, so the files
     do not depend on the worker count. Every repeat is split before
@@ -252,8 +252,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str, dataset: TabularDataset, data
                               derive_seed(cfg.master_seed, TAG_TUNE, gi, rep, mi),
                               derive_seed(cfg.master_seed, TAG_MODEL, gi, rep, mi)))
 
-    with fork_pool(dataset, len(cells)) as run:
-        scored = run(_run_cell, cells)
+    scored = run_tasks(_run_cell, dataset, cells)
     results = [SweepRow(dataset_name, name, gamma, rep, *cell)
                for (name, gamma, rep), cell in zip(keys, scored)]
     results.sort(key=lambda r: (r.dataset, r.method, r.gamma, r.repeat))

@@ -1,11 +1,11 @@
 """One fork pool for the program's independent tasks: the cells of a sweep
-and the class trees of a multi-class boosting round.
+and the score columns of a multi-class fit, each column's whole tree
+sequence one task.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from functools import partial
 
 _in_worker = False  # set in a pool's worker: its own pools run in-process
@@ -21,23 +21,21 @@ def _run_task(fn, task):
     return fn(_worker_state, task)
 
 
-@contextmanager
-def fork_pool(state, max_workers):
-    """Yield ``run(fn, tasks)``, which returns ``[fn(state, task) for task in
-    tasks]``; if tasks fail, the first failing one in task order raises.
+def run_tasks(fn, state, tasks):
+    """``[fn(state, task) for task in tasks]``; if tasks fail, the first
+    failing one in task order raises.
 
     The tasks run on one forked worker per core this process may run on
-    (``os.sched_getaffinity``), never more than ``max_workers``, and the
-    workers serve every ``run`` of the ``with`` block. With one worker, where
-    the cores are unknown, and inside another pool's worker, they run in this
-    process. A worker inherits ``state`` through the fork, so only ``fn`` (by
-    name), the tasks and the results are pickled.
+    (``os.sched_getaffinity``), never more than there are tasks. With one
+    worker, where the cores are unknown, and inside another pool's worker,
+    they run in this process. A worker inherits ``state`` through the fork,
+    so only ``fn`` (by name), the tasks and the results are pickled.
     """
+    tasks = list(tasks)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = 1 if _in_worker else min(usable, max_workers)
+    workers = 1 if _in_worker else min(usable, len(tasks))
     if workers <= 1:
-        yield lambda fn, tasks: [fn(state, task) for task in tasks]
-        return
+        return [fn(state, task) for task in tasks]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -46,4 +44,4 @@ def fork_pool(state, max_workers):
     # importing numpy again and inherits the initializer's arguments unpickled
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_init_worker, initargs=(state,)) as pool:
-        yield lambda fn, tasks: list(pool.map(partial(_run_task, fn), tasks))
+        return list(pool.map(partial(_run_task, fn), tasks))

@@ -406,8 +406,11 @@ def grow_tree(columns, order, rows, g, h, config: TreeConfig, out) -> Tree:
         if cand is not None:
             heapq.heappush(heap, (-cand.gain, next(counter), node, node_rows, depth, cand))
 
-    side[rows] = True
-    push(0, partition_sorted(order, side, rows.size)[0], 0)
+    if rows.size == order.shape[0]:  # every row: the presort is the root's own
+        push(0, order, 0)
+    else:
+        side[rows] = True
+        push(0, partition_sorted(order, side, rows.size)[0], 0)
     while heap and n_leaves < config.max_leaves:
         _, _, node, node_rows, depth, cand = heapq.heappop(heap)
         ids = node_rows[:, cand.feature]

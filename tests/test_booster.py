@@ -156,6 +156,15 @@ class TestValidationAndEarlyStopping:
         with pytest.raises(BoosterConfigError, match="needs a validation set"):
             fit(train, cfg)
 
+    @pytest.mark.parametrize("early_stopping_rounds", [None, 1])
+    def test_an_empty_validation_set_raises(self, early_stopping_rounds):
+        # it used to record NaN losses with a RuntimeWarning and never stop early
+        train, valid = self.split()
+        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=3,
+                            early_stopping_rounds=early_stopping_rounds)
+        with pytest.raises(DataError, match="empty validation set"):
+            fit(train, cfg, valid=valid.subset(np.arange(0)))
+
     def named_split(self):
         rng = np.random.default_rng(8)
         X = rng.normal(size=(120, 3))
@@ -522,6 +531,35 @@ def test_pooled_fit_equals_the_in_process_fit(n_classes, seed, family, missing_r
     assert fit_on(n_classes + 2) == reference
 
 
+@settings(max_examples=12, deadline=None)
+@given(n_classes=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**16),
+       subsample=st.sampled_from([0.6, 1.0]), patience=st.integers(1, 4),
+       cores=st.sampled_from([1, 2, 6]))
+def test_an_early_stopped_fit_is_a_prefix_of_the_full_fit(n_classes, seed, subsample, patience,
+                                                          cores):
+    train, valid = multiclass_split(seed, n_classes, n=90)
+    cfg = BoosterConfig(loss=LossSpec("rfl", r=1.0), tree=tiny_tree(lam=1.0), learning_rate=0.8,
+                        n_rounds=10, n_classes=n_classes, seed=seed, subsample=subsample,
+                        early_stopping_rounds=patience)
+    with pytest.MonkeyPatch.context() as patch:
+        record_pools(patch, cores)
+        stopped = fit(train, cfg, valid=valid)
+        full = fit(train, replace(cfg, early_stopping_rounds=None), valid=valid)
+    # the rule, on the full fit's history: stop at the first round `patience` rounds past
+    # the lowest loss so far, else at the last; keep the trees up to that lowest loss
+    history = full.valid_loss_history
+    stop = next((t for t in range(len(history))
+                 if t - int(np.argmin(history[: t + 1])) >= patience), len(history) - 1)
+    best = int(np.argmin(history[: stop + 1]))
+    assert full.best_round is None and stopped.best_round == best
+    assert [[t.to_dict() for t in lst] for lst in stopped.trees] == \
+        [[t.to_dict() for t in lst[: best + 1]] for lst in full.trees]
+    assert np.array(stopped.valid_loss_history).tobytes() == \
+        np.array(history[: stop + 1]).tobytes()
+    assert np.array(stopped.train_loss_history).tobytes() == \
+        np.array(full.train_loss_history[: stop + 1]).tobytes()
+
+
 @pytest.mark.parametrize("n_classes,cores", [(2, 4), (3, 1)])
 def test_a_binary_or_one_core_fit_starts_no_pool(monkeypatch, n_classes, cores):
     pools = record_pools(monkeypatch, cores)
@@ -559,6 +597,7 @@ def test_a_non_finite_column_raises_in_the_caller_and_leaves_no_worker(monkeypat
 def test_fit_workers_take_the_data_they_inherit(monkeypatch):
     pools = record_pools(monkeypatch, cores=2)
     train, _ = multiclass_split(2, 3, n=300, n_features=4)
+    # what this process pickles for its workers; results are pickled in the workers
     payloads, dumps = [], multiprocessing.reduction.ForkingPickler.dumps
 
     def recording_dumps(cls, obj, protocol=None):
@@ -572,15 +611,23 @@ def test_fit_workers_take_the_data_they_inherit(monkeypatch):
     monkeypatch.setattr(multiprocessing.reduction.ForkingPickler, "dumps",
                         classmethod(recording_dumps))
     monkeypatch.setattr(TabularDataset, "__reduce__", no_pickle, raising=False)
-    n_rounds = 3
-    fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=n_rounds, n_classes=3))
-    assert pools == [2]
-    assert len(payloads) >= n_rounds * 3  # every task went through the recorder
-    sent = b"".join(payloads)
     order = presort(train.columns, np.arange(train.n_samples))
     targets = [(train.labels == k).astype(np.int64) for k in range(3)]
     inherited = [*train.columns, *order.T, *targets]  # each feature's values and sort
-    assert not [block for block in inherited if block.tobytes() in sent]
+    for n_rounds in (1, 3):
+        payloads.clear()
+        model = fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=n_rounds,
+                                         n_classes=3))
+        # one task per score column, whatever the round count
+        assert sum(b"_grow_column" in payload for payload in payloads) == 3
+        sent = b"".join(payloads)
+        assert not [block for block in inherited if block.tobytes() in sent]
+        # nor does a task carry a column's scores or a round's row ids to its worker
+        stages = booster_module.staged_raw(model, train, range(1, n_rounds + 1))
+        scores = [z[:, k].tobytes() for z in stages for k in range(3)]
+        assert not [block for block in scores if block in sent]
+        assert np.arange(train.n_samples).tobytes() not in sent
+    assert pools == [2, 2]
 
 
 def column_targets(data):
@@ -603,7 +650,8 @@ def test_train_loss_history_is_the_loss_of_each_cut_model(monkeypatch, n_classes
         cut = replace(model, trees=[lst[: t + 1] for lst in model.trees])
         raw = predict_raw(cut, train)
         z = raw[None] if n_classes == 2 else raw.T
-        assert loss == booster_module._mean_loss(cfg.loss, column_targets(train), z)
+        assert loss == float(np.mean([booster_module._column_loss(cfg.loss, yk, z[k])
+                                      for k, yk in enumerate(column_targets(train))]))
 
 
 @pytest.mark.parametrize("cores", [1, 2])

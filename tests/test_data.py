@@ -142,6 +142,17 @@ class TestLoadCsv:
         assert from_arrays(np.zeros((3, 1)), np.array([1.0, 0.0, 1.0]),
                            class_names=["a", "b"]).labels.tolist() == [1, 0, 1]
 
+    @pytest.mark.parametrize("X,y,message", [
+        # a (3, 2) matrix over 2 labels used to build 2 samples of 3 features
+        (np.zeros((3, 2)), [0, 1], "X has 3 rows but y has 2 labels"),
+        (np.zeros((2, 3)), [0, 1, 0], "X has 2 rows but y has 3 labels"),
+        (np.zeros(3), [0, 1, 0], r"got shapes \(3,\) and \(3,\)"),
+        (np.zeros((3, 1)), [[0], [1], [0]], r"got shapes \(3, 1\) and \(3, 1\)"),
+    ])
+    def test_from_arrays_rejects_x_and_y_of_different_lengths(self, X, y, message):
+        with pytest.raises(ValueError, match=message):
+            from_arrays(X, np.array(y))
+
     @pytest.mark.parametrize("cell", [np.inf, -np.inf])
     def test_from_arrays_rejects_infinite_cells(self, cell):
         with pytest.raises(ValueError, match="inf"):
