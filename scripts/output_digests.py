@@ -11,12 +11,11 @@ bitwise unchanged, so two commits can be compared with ``diff``:
   (``MethodSpec.candidates``), and of a small ``robustboost ablate``;
 - the ``ranks.csv`` of ``robustboost report`` on the criterion-12 sweep's
   and on the ablation's ``results.csv``;
-- ``predict_raw`` (train and validation), ``serialize()``, the loss
-  histories and ``best_round`` of a fixed set of fits with missing cells,
-  row subsampling and early stopping, and with ``min_samples_leaf > 1`` and
-  ``min_gain > 0``, with ``lam = 0``, on unrounded features (all values
-  distinct), with and without missing cells, and of mae, sce and nce under
-  ``focal_wrap`` with ``r > 0``.
+- ``predict_raw`` (train and validation), ``serialize()`` and the loss
+  histories of a fixed set of fits with missing cells and row subsampling,
+  and with ``min_samples_leaf > 1`` and ``min_gain > 0``, with ``lam = 0``,
+  and on unrounded features (all values distinct), with and without
+  missing cells.
 
 Usage, from the repository root:
 
@@ -123,25 +122,21 @@ grid_rounds = 4,8
 max_leaves = 8
 """
 
-# (loss family, n_classes, subsample, early_stopping_rounds, changes to TREE,
-#  changes to noisy_dataset's arguments, changes to the LossSpec)
+# (loss family, n_classes, subsample, changes to TREE, changes to noisy_dataset's arguments)
 TREE = dict(lam=0.5, max_depth=5, max_leaves=12)
 FITS = (
-    ("cce", 2, 0.8, 5, {}, {}, {}),
-    ("rfl", 2, 0.7, None, {}, {}, {}),
-    ("gce", 3, 0.8, None, {}, {}, {}),
-    ("fl", 3, 1.0, 5, {}, {}, {}),
-    ("mae", 2, 0.8, None, {}, {}, {}),
-    ("nce", 4, 0.7, None, {}, {}, {}),
-    ("sce", 2, 0.7, 5, {}, {}, {}),
-    ("rfl", 4, 0.8, 5, {}, {}, {}),
-    ("rfl", 2, 0.8, None, {"min_samples_leaf": 5, "min_gain": 0.05}, {}, {}),
-    ("cce", 3, 0.8, None, {"lam": 0.0}, {}, {}),
-    ("rfl", 2, 0.8, 5, {}, {"decimals": None}, {}),
-    ("gce", 3, 1.0, None, {"min_samples_leaf": 3}, {"decimals": None, "missing_rate": 0.0}, {}),
-    ("mae", 2, 0.8, None, {}, {}, {"r": 1.5, "focal_wrap": True}),
-    ("sce", 3, 0.8, 5, {}, {}, {"r": 0.5, "focal_wrap": True}),
-    ("nce", 2, 1.0, None, {}, {}, {"r": 2.0, "focal_wrap": True}),
+    ("cce", 2, 0.8, {}, {}),
+    ("rfl", 2, 0.7, {}, {}),
+    ("gce", 3, 0.8, {}, {}),
+    ("fl", 3, 1.0, {}, {}),
+    ("mae", 2, 0.8, {}, {}),
+    ("nce", 4, 0.7, {}, {}),
+    ("sce", 2, 0.7, {}, {}),
+    ("rfl", 4, 0.8, {}, {}),
+    ("rfl", 2, 0.8, {"min_samples_leaf": 5, "min_gain": 0.05}, {}),
+    ("cce", 3, 0.8, {"lam": 0.0}, {}),
+    ("rfl", 2, 0.8, {}, {"decimals": None}),
+    ("gce", 3, 1.0, {"min_samples_leaf": 3}, {"decimals": None, "missing_rate": 0.0}),
 )
 
 
@@ -219,14 +214,13 @@ def sweep_digests(tmp):
 
 
 def fit_digests():
-    for i, (family, n_classes, subsample, patience, tree, shape, loss) in enumerate(FITS):
+    for i, (family, n_classes, subsample, tree, shape) in enumerate(FITS):
         rng = np.random.default_rng(100 + i)
         data = noisy_dataset(rng, 550, n_classes, **shape)
         train, valid = data.subset(np.arange(400)), data.subset(np.arange(400, 550))
         config = BoosterConfig(
-            loss=LossSpec(family, **loss), tree=TreeConfig(**{**TREE, **tree}),
-            learning_rate=0.3, n_rounds=40, n_classes=n_classes, seed=i,
-            subsample=subsample, early_stopping_rounds=patience)
+            loss=LossSpec(family), tree=TreeConfig(**{**TREE, **tree}),
+            learning_rate=0.3, n_rounds=40, n_classes=n_classes, seed=i, subsample=subsample)
         model = fit(train, config, valid=valid)
         name = f"fit{i}_{family}_{n_classes}class"
         for part, data in (
@@ -234,8 +228,7 @@ def fit_digests():
                 ("predict_raw_valid", predict_raw(model, valid).tobytes()),
                 ("serialize", serialize(model).encode()),
                 ("train_loss_history", np.array(model.train_loss_history).tobytes()),
-                ("valid_loss_history", np.array(model.valid_loss_history).tobytes()),
-                ("best_round", repr(model.best_round).encode())):
+                ("valid_loss_history", np.array(model.valid_loss_history).tobytes())):
             yield digest_line(f"{name}/{part}", data)
 
 

@@ -17,10 +17,9 @@ from .pool import run_tasks
 from .tree import (NUMBER, ModelFormatError, Tree, TreeConfig, grow_tree, presort,
                    require_fields)
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 # the BoosterConfig fields that model.json stores under "booster", with their JSON types
-BOOSTER_KEYS = {"n_rounds": (int,), "seed": (int,), "subsample": NUMBER,
-                "early_stopping_rounds": (int, type(None))}
+BOOSTER_KEYS = {"n_rounds": (int,), "seed": (int,), "subsample": NUMBER}
 # the fields of model.json with their JSON types; the records are checked on their own
 MODEL_FIELDS = {"format": (str,), "version": (int,), "n_classes": (int,),
                 "feature_names": (list,), "class_names": (list,), "learning_rate": NUMBER,
@@ -47,7 +46,6 @@ class BoosterConfig:
     n_rounds: int = 100
     n_classes: int = 2
     seed: int = 0
-    early_stopping_rounds: Optional[int] = None
     subsample: float = 1.0
 
     def __post_init__(self):
@@ -59,8 +57,6 @@ class BoosterConfig:
             raise BoosterConfigError("n_classes must be >= 2")
         if not 0.0 < self.subsample <= 1.0:
             raise BoosterConfigError(f"subsample must be in (0, 1], got {self.subsample}")
-        if self.early_stopping_rounds is not None and self.early_stopping_rounds < 1:
-            raise BoosterConfigError("early_stopping_rounds must be >= 1")
 
 
 @dataclass
@@ -71,7 +67,6 @@ class BoosterModel:
     class_names: list  # the training data's label tokens, in class-index order
     train_loss_history: list = field(default_factory=list)
     valid_loss_history: list = field(default_factory=list)
-    best_round: Optional[int] = None
 
     @property
     def is_binary(self) -> bool:
@@ -126,19 +121,6 @@ def _grow_column(state, k):
     return trees, train_losses, valid_losses
 
 
-def _stop_round(history, patience):
-    """The round early stopping ends at, and the best round up to it: the
-    first round ``patience`` rounds past the lowest loss so far, else the
-    last. The best round is None when no loss is below infinity."""
-    best_score, best_round = np.inf, None
-    for t, v in enumerate(history):
-        if v < best_score:
-            best_score, best_round = v, t
-        if best_round is not None and t - best_round >= patience:
-            break
-    return t, best_round
-
-
 def fit(data: TabularDataset, config: BoosterConfig,
         valid: Optional[TabularDataset] = None) -> BoosterModel:
     """Train a boosted ensemble on n_cols score columns: one column with
@@ -147,9 +129,8 @@ def fit(data: TabularDataset, config: BoosterConfig,
     (``_grow_column``) grows its whole tree sequence and returns its trees
     and its per-round training and validation losses, never scores. This
     process averages the columns' losses, in class order, into each
-    round's history entry, then applies early stopping to the validation
-    history: the trees are cut after the best round, the histories after
-    the round the patience ran out.
+    round's history entry. The model holds ``config.n_rounds`` trees per
+    column; ``valid`` feeds only ``valid_loss_history``, never the trees.
 
     A multi-class fit gives its columns to one forked worker per usable
     core, never more than there are classes, one task per column; on one
@@ -169,8 +150,6 @@ def fit(data: TabularDataset, config: BoosterConfig,
     if data.n_classes != config.n_classes:
         raise DataError(f"the data names {data.n_classes} classes, "
                         f"the config has n_classes = {config.n_classes}")
-    if config.early_stopping_rounds is not None and valid is None:
-        raise BoosterConfigError("early_stopping_rounds needs a validation set (valid)")
     if valid is not None and valid.n_samples == 0:
         raise DataError("empty validation set")
 
@@ -196,12 +175,6 @@ def fit(data: TabularDataset, config: BoosterConfig,
     # a round's entry is the mean of its columns' losses, in class order
     model.train_loss_history = [float(np.mean(losses)) for losses in zip(*train_losses)]
     model.valid_loss_history = [float(np.mean(losses)) for losses in zip(*valid_losses)]
-    if config.early_stopping_rounds is not None:
-        stop, best_round = _stop_round(model.valid_loss_history, config.early_stopping_rounds)
-        del model.train_loss_history[stop + 1:], model.valid_loss_history[stop + 1:]
-        if best_round is not None:
-            model.trees = [lst[: best_round + 1] for lst in model.trees]
-            model.best_round = best_round
     return model
 
 
@@ -327,9 +300,8 @@ def deserialize(text: str) -> BoosterModel:
             f"{config.n_classes} class names, the document has {len(doc['trees'])} "
             f"and {len(doc['class_names'])}")
     counts = [len(lst) for lst in doc["trees"]]
-    if len(set(counts)) != 1 or not 1 <= counts[0] <= config.n_rounds:
-        raise ModelFormatError(f"the document's tree lists hold {counts} trees; each must hold "
-                               f"the same number, from 1 to n_rounds {config.n_rounds}")
+    if counts != [config.n_rounds] * n_lists:
+        raise ModelFormatError(f"tree lists hold {counts} trees, not n_rounds {config.n_rounds}")
     trees = [[Tree.from_dict(record) for record in lst] for lst in doc["trees"]]
     for tree in (t for lst in trees for t in lst):
         tree.check(len(doc["feature_names"]))

@@ -100,7 +100,6 @@ _TABLE = (
     ("synthetic_seed", non_negative_int, _DATA),
     ("family", str, {"train": "loss"}),
     ("r q", _float, {"train": "loss"}),
-    ("focal_wrap", _bool, {"train": "loss"}),
     ("eta sce_alpha sce_beta", _float, dict(_METHOD, train="loss")),
     ("learning_rate subsample", _float, {"train": "booster"}),
     ("n_rounds", int, {"train": "booster"}),

@@ -96,6 +96,8 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
     if feature_names is None:
         feature_names = [f"f{j}" for j in range(X.shape[1])]
     feature_names = list(feature_names)
+    if len(feature_names) != X.shape[1]:
+        raise ValueError(f"X has {X.shape[1]} columns but {len(feature_names)} feature names")
     check_unique(feature_names, ValueError, "repeated feature name")
     return TabularDataset(np.ascontiguousarray(X.T), labels, feature_names, list(class_names))
 

@@ -158,12 +158,12 @@ def fit_tuned(train: TabularDataset, method: MethodSpec, tree: TreeConfig,
 
     Staged: the candidates sharing a (loss, lr) are fitted once, at their
     longest ``rounds``, and each is scored on that model's first ``rounds``
-    trees, which are exactly a ``rounds``-round fit with the same seed (no
-    early stopping here). The tuning rows' scores are built up one round at
-    a time and read at each distinct ``rounds`` in ascending order, so each
-    tuning tree is evaluated once. The first candidate in ``candidates()``
-    order with the highest score wins, so a tie goes to the earlier grid
-    value, not to the shorter fit.
+    trees, which are exactly a ``rounds``-round fit with the same seed. The
+    tuning rows' scores are built up one round at a time and read at each
+    distinct ``rounds`` in ascending order, so each tuning tree is evaluated
+    once. The first candidate in ``candidates()`` order with the highest
+    score wins, so a tie goes to the earlier grid value, not to the shorter
+    fit.
     """
     candidates = method.candidates()
     if len(candidates) > 1:

@@ -1,8 +1,8 @@
 """Loss families for Newton boosting, as functions of phat, the probability
 the model assigns to a sample's true class.
 
-Every family is a base loss in {cce, mae, gce, sce, nce}, optionally times
-the focal factor (1 - phat)**r: fl is focal∘cce, rfl is focal∘gce. One
+Every family is a base loss in {cce, mae, gce, sce, nce}; two of them also
+carry the focal factor (1 - phat)**r: fl is focal∘cce, rfl is focal∘gce. One
 chain rule maps value derivatives in phat to the raw-score gradients and
 Hessians that the tree builder consumes.
 """
@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# family -> (base loss, whether the focal factor is always on); without it,
-# a family is focused only under focal_wrap with r > 0
+# family -> (base loss, whether it carries the focal factor (1 - phat)**r)
 CATALOG = {
     "cce": ("cce", False),
     "mae": ("mae", False),
@@ -47,9 +46,8 @@ class LossSpec:
     range-checked. ``eta`` is the safeguard scalar: for mae/nce it shifts
     phat -> phat + eta when phat <= 0.5, for sce it clips phat inside the
     log term. ``eta = 0`` disables the safeguard (used to probe the raw
-    losses). ``focal_wrap`` with r > 0 multiplies any family by
-    (1 - phat)**r, so it turns cce into fl and gce into rfl, and leaves
-    fl and rfl as they are.
+    losses). ``r`` is the focal exponent of fl and rfl, the only families
+    that carry the focal factor (1 - phat)**r.
     """
 
     family: str = "rfl"
@@ -58,7 +56,6 @@ class LossSpec:
     eta: float = 1e-2
     sce_alpha: float = 1.0
     sce_beta: float = 1.0
-    focal_wrap: bool = False
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -134,7 +131,7 @@ def _loss(spec: LossSpec, phat):
     """(value, d1, d2) in phat: the base loss G, times F = (1-u)**r when focused."""
     u = _safeguarded(spec, _check_phat(phat))
     G, G1, G2 = _base(spec, u)
-    if not (CATALOG[spec.family][1] or (spec.focal_wrap and spec.r > 0)):
+    if not CATALOG[spec.family][1]:
         return G, G1, G2
     r = spec.r
     F = (1.0 - u) ** r

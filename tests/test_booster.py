@@ -138,30 +138,13 @@ class TestValidationAndEarlyStopping:
         model = fit(train, cfg, valid=valid)
         assert len(model.valid_loss_history) == 10
 
-    def test_early_stop_truncates_to_best(self):
+    @pytest.mark.parametrize("n_rounds", [None, 1])
+    def test_an_empty_validation_set_raises(self, n_rounds):
+        # it used to record NaN losses with a RuntimeWarning; it is refused
+        # before any round grows, for the default round count and for one
         train, valid = self.split()
-        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), learning_rate=1.0,
-                            n_rounds=200, early_stopping_rounds=5)
-        model = fit(train, cfg, valid=valid)
-        assert model.best_round is not None
-        assert len(model.trees[0]) == model.best_round + 1
-        assert len(model.trees[0]) < 200
-        best = min(model.valid_loss_history)
-        assert model.valid_loss_history[model.best_round] == best
-
-    def test_early_stopping_needs_a_validation_set(self):
-        # it used to be ignored: every round grew and best_round stayed None
-        train, _ = self.split()
-        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=5, early_stopping_rounds=2)
-        with pytest.raises(BoosterConfigError, match="needs a validation set"):
-            fit(train, cfg)
-
-    @pytest.mark.parametrize("early_stopping_rounds", [None, 1])
-    def test_an_empty_validation_set_raises(self, early_stopping_rounds):
-        # it used to record NaN losses with a RuntimeWarning and never stop early
-        train, valid = self.split()
-        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=3,
-                            early_stopping_rounds=early_stopping_rounds)
+        rounds = {} if n_rounds is None else {"n_rounds": n_rounds}
+        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), **rounds)
         with pytest.raises(DataError, match="empty validation set"):
             fit(train, cfg, valid=valid.subset(np.arange(0)))
 
@@ -230,13 +213,13 @@ class TestSerialization:
         v1.update(version=1, n_features=2, init_score=0.0,
                   trees=[[{"nodes": [{"feature": 0, "threshold": 0.5, "default_left": False,
                                       "left": 1, "right": 2}, {"leaf": -1.0}, {"leaf": 1.0}]}]])
-        with pytest.raises(ModelFormatError, match="version 1, expected 2"):
+        with pytest.raises(ModelFormatError, match="version 1, expected 3"):
             deserialize(json.dumps(v1))
 
     def test_document_has_one_tree_record_shape(self):
         model, _ = self.model_and_data(3)
         doc = json.loads(serialize(model))
-        assert doc["version"] == MODEL_FORMAT_VERSION == 2
+        assert doc["version"] == MODEL_FORMAT_VERSION == 3
         assert not {"init_score", "n_features"} & set(doc)
         assert doc["feature_names"] == ["f0", "f1"] and doc["class_names"] == ["0", "1", "2"]
         records = [record for column in doc["trees"] for record in column]
@@ -282,16 +265,16 @@ class TestSerialization:
         (2, lambda d: d["loss"].update(bogus=1), "loss record has an unknown field 'bogus'"),
         (2, lambda d: d["tree_config"].update(lam="1"), "tree_config record has lam '1'"),
         (2, lambda d: d.update(n_classes="2"), "the model document has n_classes '2'"),
-        (2, lambda d: d["booster"].update(early_stopping_rounds=2.5),
-         "booster record has early_stopping_rounds 2.5"),
         (2, lambda d: d.update(feature_names=5), "the model document has feature_names 5"),
         (3, lambda d: d["trees"].__setitem__(1, {}), "trees are not lists of tree records"),
-        # a fit writes one tree per class per round, at least one round and at most n_rounds
+        # a fit writes one tree per class per round, n_rounds rounds
         (3, lambda d: d["trees"][1].__delitem__(slice(1, None)), "hold [8, 1, 8] trees"),
         (3, lambda d: [lst.clear() for lst in d["trees"]], "hold [0, 0, 0] trees"),
         (2, lambda d: d["trees"][0].clear(), "hold [0] trees"),
         (2, lambda d: d["trees"][0].append(d["trees"][0][0]), "hold [9] trees"),
-        (3, lambda d: d["booster"].update(n_rounds=7), "from 1 to n_rounds 7"),
+        (3, lambda d: d["booster"].update(n_rounds=7), "hold [8, 8, 8] trees, not n_rounds 7"),
+        # equal lists shorter than n_rounds: no fit saves fewer rounds than it was set to grow
+        (3, lambda d: [lst.pop() for lst in d["trees"]], "hold [7, 7, 7] trees"),
         # align would read one data column for both of the model's features
         (2, lambda d: d.update(feature_names=["f0", "f0"]), "repeats feature name 'f0'"),
         # align would encode both labels through the first "0"
@@ -377,10 +360,9 @@ class TestSerialization:
 @settings(max_examples=30, deadline=None)
 @given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
        family=st.sampled_from(FAMILIES), missing_rate=st.floats(0.0, 0.4),
-       subsample=st.sampled_from([0.5, 0.8, 1.0]),
-       early_stopping_rounds=st.sampled_from([None, 1, 3]))
+       subsample=st.sampled_from([0.5, 0.8, 1.0]))
 def test_serialize_roundtrip_predict_raw_bitwise(n_classes, seed, family, missing_rate,
-                                                 subsample, early_stopping_rounds):
+                                                 subsample):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(90, 3))
     X[rng.random(X.shape) < missing_rate] = np.nan
@@ -390,8 +372,7 @@ def test_serialize_roundtrip_predict_raw_bitwise(n_classes, seed, family, missin
     train = from_arrays(X[:60], y[:60], class_names=names)
     valid = from_arrays(X[60:], y[60:], class_names=names)
     cfg = BoosterConfig(loss=LossSpec(family), tree=tiny_tree(lam=1.0), learning_rate=0.5,
-                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample,
-                        early_stopping_rounds=early_stopping_rounds)
+                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample)
     model = fit(train, cfg, valid=valid)
     restored = deserialize(serialize(model))
     for data in (train, valid):
@@ -440,10 +421,8 @@ def grow_on_its_own_sort(columns, order, rows, g, h, config, out):
 
 @settings(max_examples=30, deadline=None)
 @given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
-       missing_rate=st.floats(0.0, 0.4), subsample=st.sampled_from([1.0, 0.7]),
-       early_stopping_rounds=st.sampled_from([None, 2]))
-def test_one_sort_per_fit_matches_a_sort_per_tree(n_classes, seed, missing_rate, subsample,
-                                                  early_stopping_rounds):
+       missing_rate=st.floats(0.0, 0.4), subsample=st.sampled_from([1.0, 0.7]))
+def test_one_sort_per_fit_matches_a_sort_per_tree(n_classes, seed, missing_rate, subsample):
     rng = np.random.default_rng(seed)
     X = np.round(rng.normal(size=(90, 3)), 1)  # repeated values: ties follow row ids
     X[rng.random(X.shape) < missing_rate] = np.nan
@@ -453,8 +432,7 @@ def test_one_sort_per_fit_matches_a_sort_per_tree(n_classes, seed, missing_rate,
     train = from_arrays(X[:60], y[:60], class_names=names)
     valid = from_arrays(X[60:], y[60:], class_names=names)
     cfg = BoosterConfig(loss=LossSpec("rfl", r=1.0), tree=tiny_tree(lam=1.0), learning_rate=0.5,
-                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample,
-                        early_stopping_rounds=early_stopping_rounds)
+                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample)
     model = fit(train, cfg, valid=valid)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(booster_module, "grow_tree", grow_on_its_own_sort)
@@ -510,13 +488,11 @@ def multiclass_split(seed, n_classes, missing_rate=0.1, n=120, n_features=3):
 @settings(max_examples=10, deadline=None)
 @given(n_classes=st.integers(3, 5), seed=st.integers(0, 2**16),
        family=st.sampled_from(FAMILIES), missing_rate=st.floats(0.0, 0.3),
-       subsample=st.sampled_from([0.6, 1.0]), early_stopping_rounds=st.sampled_from([None, 1, 3]))
-def test_pooled_fit_equals_the_in_process_fit(n_classes, seed, family, missing_rate, subsample,
-                                              early_stopping_rounds):
+       subsample=st.sampled_from([0.6, 1.0]))
+def test_pooled_fit_equals_the_in_process_fit(n_classes, seed, family, missing_rate, subsample):
     train, valid = multiclass_split(seed, n_classes, missing_rate)
     cfg = BoosterConfig(loss=LossSpec(family), tree=tiny_tree(lam=1.0), learning_rate=0.5,
-                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample,
-                        early_stopping_rounds=early_stopping_rounds)
+                        n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample)
 
     def fit_on(cores):
         with pytest.MonkeyPatch.context() as patch:
@@ -524,40 +500,13 @@ def test_pooled_fit_equals_the_in_process_fit(n_classes, seed, family, missing_r
             model = fit(train, cfg, valid=valid)
         assert pools == ([] if cores == 1 else [min(cores, n_classes)])
         return (serialize(model), np.array(model.train_loss_history).tobytes(),
-                np.array(model.valid_loss_history).tobytes(), model.best_round)
+                np.array(model.valid_loss_history).tobytes())
 
     reference = fit_on(1)
     assert fit_on(2) == reference
     assert fit_on(n_classes + 2) == reference
 
 
-@settings(max_examples=12, deadline=None)
-@given(n_classes=st.sampled_from([2, 3, 4]), seed=st.integers(0, 2**16),
-       subsample=st.sampled_from([0.6, 1.0]), patience=st.integers(1, 4),
-       cores=st.sampled_from([1, 2, 6]))
-def test_an_early_stopped_fit_is_a_prefix_of_the_full_fit(n_classes, seed, subsample, patience,
-                                                          cores):
-    train, valid = multiclass_split(seed, n_classes, n=90)
-    cfg = BoosterConfig(loss=LossSpec("rfl", r=1.0), tree=tiny_tree(lam=1.0), learning_rate=0.8,
-                        n_rounds=10, n_classes=n_classes, seed=seed, subsample=subsample,
-                        early_stopping_rounds=patience)
-    with pytest.MonkeyPatch.context() as patch:
-        record_pools(patch, cores)
-        stopped = fit(train, cfg, valid=valid)
-        full = fit(train, replace(cfg, early_stopping_rounds=None), valid=valid)
-    # the rule, on the full fit's history: stop at the first round `patience` rounds past
-    # the lowest loss so far, else at the last; keep the trees up to that lowest loss
-    history = full.valid_loss_history
-    stop = next((t for t in range(len(history))
-                 if t - int(np.argmin(history[: t + 1])) >= patience), len(history) - 1)
-    best = int(np.argmin(history[: stop + 1]))
-    assert full.best_round is None and stopped.best_round == best
-    assert [[t.to_dict() for t in lst] for lst in stopped.trees] == \
-        [[t.to_dict() for t in lst[: best + 1]] for lst in full.trees]
-    assert np.array(stopped.valid_loss_history).tobytes() == \
-        np.array(history[: stop + 1]).tobytes()
-    assert np.array(stopped.train_loss_history).tobytes() == \
-        np.array(full.train_loss_history[: stop + 1]).tobytes()
 
 
 @pytest.mark.parametrize("n_classes,cores", [(2, 4), (3, 1)])

@@ -170,7 +170,7 @@ class TestSweepReport:
 # one valid value per config key, each different from the key's default
 SAMPLE_VALUES = {
     "dataset": "synthetic:blobs3", "label_column": "y", "synthetic_seed": "3",
-    "family": "gce", "r": "2.0", "q": "0.7", "focal_wrap": "true", "eta": "0.05",
+    "family": "gce", "r": "2.0", "q": "0.7", "eta": "0.05",
     "sce_alpha": "5.0", "sce_beta": "0.1", "learning_rate": "0.3", "n_rounds": "7",
     "subsample": "0.5", "lam": "2.0", "min_samples_leaf": "3", "min_sum_hessian": "0.1",
     "min_gain": "0.5", "max_depth": "2", "max_leaves": "4", "methods": "rfl,gce",
@@ -181,7 +181,7 @@ SAMPLE_VALUES = {
 READERS = {
     "predict": {"dataset", "label_column", "synthetic_seed"},
     "train": {"dataset", "label_column", "synthetic_seed", "family", "r", "q", "eta",
-              "sce_alpha", "sce_beta", "focal_wrap", "lam", "min_samples_leaf",
+              "sce_alpha", "sce_beta", "lam", "min_samples_leaf",
               "min_sum_hessian", "min_gain", "max_depth", "max_leaves", "learning_rate",
               "n_rounds", "subsample"},
     "sweep": {"dataset", "label_column", "synthetic_seed", "lam", "min_samples_leaf",
@@ -510,17 +510,26 @@ def test_predict_schema_mismatch_exits_1(token_model, tmp_path, capsys, names, h
     assert named in capsys.readouterr().err
 
 
-def test_predict_v1_model_exits_1(token_model, tmp_path, capsys):
+def v2_document(doc):
+    # version 2 also stored the early-stopping patience and the focal_wrap switch
+    doc["booster"]["early_stopping_rounds"] = None
+    doc["loss"]["focal_wrap"] = False
+
+
+@pytest.mark.parametrize("version,mutate", [(1, lambda doc: None), (2, v2_document)],
+                         ids=["v1", "v2"])
+def test_predict_v1_model_exits_1(token_model, tmp_path, capsys, version, mutate):
     model, _, _, _ = token_model
     with open(model) as fh:
         doc = json.load(fh)
-    doc["version"] = 1
-    path = tmp_path / "v1.json"
+    doc["version"] = version
+    mutate(doc)
+    path = tmp_path / f"v{version}.json"
     path.write_text(json.dumps(doc))
     code = main(["predict", "--model", str(path), "--data", "synthetic:separable",
                  "--out", str(tmp_path / "p")])
     assert code == EXIT_RUNTIME
-    assert "unsupported model version 1, expected 2" in capsys.readouterr().err
+    assert f"unsupported model version {version}, expected 3" in capsys.readouterr().err
 
 
 def test_import_does_not_load_scipy():

@@ -129,6 +129,16 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="repeated feature name 'a'"):
             from_arrays(np.zeros((2, 3)), np.array([0, 1]), feature_names=["a", "b", "a"])
 
+    @pytest.mark.parametrize("names,message", [
+        # one name for two columns used to fit, then fail to load the saved model
+        (["a"], "X has 2 columns but 1 feature names"),
+        (["a", "b", "c"], "X has 2 columns but 3 feature names"),
+    ])
+    def test_from_arrays_rejects_a_feature_name_count_unlike_x(self, names, message):
+        y = np.arange(40) % 2
+        with pytest.raises(ValueError, match=message):
+            from_arrays(np.random.default_rng(0).normal(size=(40, 2)), y, feature_names=names)
+
     def test_from_arrays_rejects_repeated_class_names(self):
         # align would encode every label through the first "pos"
         with pytest.raises(ValueError, match="repeated class name 'pos'"):

@@ -118,13 +118,6 @@ class TestDerivatives:
         assert_close(d1, fd_d1(spec, 0.49))
         assert_close(d2, fd_d2(spec, 0.49))
 
-    def test_focal_wrap_consistent(self):
-        spec = LossSpec("nce", r=1.5, focal_wrap=True)
-        for u in (0.2, 0.6, 0.9):
-            d1, d2 = loss_d1_d2(spec, u)
-            assert_close(d1, fd_d1(spec, u))
-            assert_close(d2, fd_d2(spec, u))
-
 
 class TestGradHess:
     def test_cce_logistic_identity(self):
@@ -247,20 +240,6 @@ class TestSingleAlgebra:
     def test_fl_r0_is_cce(self):
         self.assert_same_loss(LossSpec("fl", r=0.0), LossSpec("cce"))
 
-    @pytest.mark.parametrize("eta", [0.0, 0.01])
-    @pytest.mark.parametrize("family", ["mae", "sce", "nce"])
-    def test_focal_wrap_r0_is_unwrapped(self, family, eta):
-        self.assert_same_loss(LossSpec(family, r=0.0, eta=eta, focal_wrap=True),
-                              LossSpec(family, eta=eta))
-
-    @given(r=st.floats(0.0, 3.0, exclude_min=True), q=st.floats(0.05, 1.0),
-           eta=st.floats(0.0, 0.2))
-    @settings(max_examples=50, deadline=None)
-    @pytest.mark.parametrize("base,focused", [("cce", "fl"), ("gce", "rfl")])
-    def test_focal_wrap_with_r_is_the_focal_family(self, base, focused, r, q, eta):
-        self.assert_same_loss(LossSpec(base, r=r, q=q, eta=eta, focal_wrap=True),
-                              LossSpec(focused, r=r, q=q, eta=eta))
-
     def test_trainer_and_check_differ_in_eta_band(self):
         # the trainer takes s = phat(1-phat) at the unshifted phat, the check
         # at the shifted one (README, "Loss families")
@@ -273,8 +252,7 @@ class TestSingleAlgebra:
 
 SPECS = st.builds(LossSpec, family=st.sampled_from(FAMILIES), r=st.floats(0.0, 3.0),
                   q=st.floats(0.05, 1.0), eta=st.sampled_from([0.0, 0.01]) | st.floats(0.0, 0.2),
-                  sce_alpha=st.floats(0.1, 2.0), sce_beta=st.floats(0.1, 2.0),
-                  focal_wrap=st.booleans())
+                  sce_alpha=st.floats(0.1, 2.0), sce_beta=st.floats(0.1, 2.0))
 
 
 @given(spec=SPECS, z=st.floats(-20.0, 20.0))
