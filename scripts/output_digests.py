@@ -11,8 +11,9 @@ bitwise unchanged, so two commits can be compared with ``diff``:
   (``MethodSpec.candidates``), and of a small ``robustboost ablate``;
 - the ``ranks.csv`` of ``robustboost report`` on the criterion-12 sweep's
   and on the ablation's ``results.csv``;
-- ``predict_raw`` (train and validation), ``serialize()`` and the loss
-  histories of a fixed set of fits with missing cells and row subsampling,
+- ``predict_raw`` and ``loss_history`` on the training and the held-out
+  validation rows, and ``serialize()``, of a fixed set of fits with missing
+  cells and row subsampling,
   and with ``min_samples_leaf > 1`` and ``min_gain > 0``, with ``lam = 0``,
   and on unrounded features (all values distinct), with and without
   missing cells.
@@ -38,7 +39,7 @@ import tempfile
 
 import numpy as np
 
-from robustboost.booster import BoosterConfig, fit, predict_raw, serialize
+from robustboost.booster import BoosterConfig, fit, loss_history, predict_raw, serialize
 from robustboost.cli import main as cli_main
 from robustboost.data import dump_csv, from_arrays
 from robustboost.losses import LossSpec
@@ -221,14 +222,14 @@ def fit_digests():
         config = BoosterConfig(
             loss=LossSpec(family), tree=TreeConfig(**{**TREE, **tree}),
             learning_rate=0.3, n_rounds=40, n_classes=n_classes, seed=i, subsample=subsample)
-        model = fit(train, config, valid=valid)
+        model = fit(train, config)
         name = f"fit{i}_{family}_{n_classes}class"
         for part, data in (
                 ("predict_raw_train", predict_raw(model, train).tobytes()),
                 ("predict_raw_valid", predict_raw(model, valid).tobytes()),
                 ("serialize", serialize(model).encode()),
-                ("train_loss_history", np.array(model.train_loss_history).tobytes()),
-                ("valid_loss_history", np.array(model.valid_loss_history).tobytes())):
+                ("train_loss_history", np.array(loss_history(model, train)).tobytes()),
+                ("valid_loss_history", np.array(loss_history(model, valid)).tobytes())):
             yield digest_line(f"{name}/{part}", data)
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
 
 import numpy as np
 
@@ -65,17 +64,18 @@ class BoosterModel:
     config: BoosterConfig
     feature_names: list  # the training data's, in column order
     class_names: list  # the training data's label tokens, in class-index order
-    train_loss_history: list = field(default_factory=list)
-    valid_loss_history: list = field(default_factory=list)
 
     @property
     def is_binary(self) -> bool:
         return len(self.trees) == 1
 
 
-def _column_loss(spec: LossSpec, yk, zk):
-    """One score column's mean loss on its 0/1 targets ``yk`` at scores ``zk``."""
-    return np.mean(loss_value(spec, make_phat(yk, sigmoid(zk))))
+def column_targets(labels, n_classes):
+    """Each score column's 0/1 targets: [labels] for binary, one
+    one-vs-all column per class otherwise."""
+    if n_classes == 2:
+        return [labels]
+    return [(labels == k).astype(np.int64) for k in range(n_classes)]
 
 
 def _sample_rows(rng, n, subsample):
@@ -86,21 +86,16 @@ def _sample_rows(rng, n, subsample):
 
 
 def _grow_column(state, k):
-    """Score column k's whole tree sequence, grown from zero scores: its
-    trees, its mean training loss after each and, given a validation set,
-    its mean validation loss after each. Column k's trees read only column
-    k's scores, so the columns are independent for the whole fit. Each
-    round's rows replay ``fit``'s draws from ``default_rng(config.seed)``.
-    A tree is evaluated on the training rows only outside its round's rows:
-    growing it gives its output on them."""
-    columns, order, targets, config, valid = state
+    """Score column k's whole tree sequence, grown from zero scores. Column
+    k's trees read only column k's scores, so the columns are independent
+    for the whole fit. Each round's rows replay ``fit``'s draws from
+    ``default_rng(config.seed)``. A tree is evaluated on the training rows
+    only outside its round's rows: growing it gives its output on them."""
+    columns, order, targets, config = state
     n = columns.shape[1]
     rng = np.random.default_rng(config.seed)
     zk, out = np.zeros(n), np.empty(n)
-    trees, train_losses, valid_losses = [], [], []
-    if valid is not None:
-        valid_columns, valid_targets = valid
-        zv = np.zeros(valid_columns.shape[1])
+    trees = []
     for _ in range(config.n_rounds):
         rows = _sample_rows(rng, n, config.subsample)
         g, h = grad_hess(config.loss, targets[k], zk)
@@ -114,30 +109,20 @@ def _grow_column(state, k):
             out[outside] = tree.predict(columns[:, outside])
         zk = zk + config.learning_rate * out
         trees.append(tree)
-        train_losses.append(_column_loss(config.loss, targets[k], zk))
-        if valid is not None:
-            zv = zv + config.learning_rate * tree.predict(valid_columns)
-            valid_losses.append(_column_loss(config.loss, valid_targets[k], zv))
-    return trees, train_losses, valid_losses
+    return trees
 
 
-def fit(data: TabularDataset, config: BoosterConfig,
-        valid: Optional[TabularDataset] = None) -> BoosterModel:
+def fit(data: TabularDataset, config: BoosterConfig) -> BoosterModel:
     """Train a boosted ensemble on n_cols score columns: one column with
     targets [y] for binary, one one-vs-all column per class otherwise.
     Column k's trees read only column k's scores, so a column's task
-    (``_grow_column``) grows its whole tree sequence and returns its trees
-    and its per-round training and validation losses, never scores. This
-    process averages the columns' losses, in class order, into each
-    round's history entry. The model holds ``config.n_rounds`` trees per
-    column; ``valid`` feeds only ``valid_loss_history``, never the trees.
+    (``_grow_column``) grows its whole tree sequence and returns its trees,
+    never scores. The model holds ``config.n_rounds`` trees per column.
 
     A multi-class fit gives its columns to one forked worker per usable
     core, never more than there are classes, one task per column; on one
     core, and inside a sweep's worker, it grows them in this process. No
-    setting changes this, and the model is the same either way. ``valid``
-    is matched to the training data's features and classes by name
-    (``align``).
+    setting changes this, and the model is the same either way.
     """
     y = np.asarray(data.labels)
     if data.n_samples == 0:
@@ -150,32 +135,12 @@ def fit(data: TabularDataset, config: BoosterConfig,
     if data.n_classes != config.n_classes:
         raise DataError(f"the data names {data.n_classes} classes, "
                         f"the config has n_classes = {config.n_classes}")
-    if valid is not None and valid.n_samples == 0:
-        raise DataError("empty validation set")
-
-    def column_targets(labels):
-        if config.n_classes == 2:
-            return [labels]
-        return [(labels == k).astype(np.int64) for k in range(config.n_classes)]
-
-    targets = column_targets(y)
-    model = BoosterModel(trees=[], config=config, feature_names=list(data.feature_names),
-                         class_names=list(data.class_names))
-    held_out = None
-    if valid is not None:
-        valid = align(model, valid)
-        held_out = (valid.columns, column_targets(valid.labels))
-
+    targets = column_targets(y, config.n_classes)
     order = presort(data.columns, np.arange(data.n_samples))  # every tree filters this one sort
     # workers inherit the per-fit state; a task sends only its column's index
-    grown = run_tasks(_grow_column, (data.columns, order, targets, config, held_out),
-                      range(len(targets)))
-    trees, train_losses, valid_losses = zip(*grown)
-    model.trees = list(trees)
-    # a round's entry is the mean of its columns' losses, in class order
-    model.train_loss_history = [float(np.mean(losses)) for losses in zip(*train_losses)]
-    model.valid_loss_history = [float(np.mean(losses)) for losses in zip(*valid_losses)]
-    return model
+    trees = run_tasks(_grow_column, (data.columns, order, targets, config), range(len(targets)))
+    return BoosterModel(trees=trees, config=config, feature_names=list(data.feature_names),
+                        class_names=list(data.class_names))
 
 
 def align(model: BoosterModel, data: TabularDataset) -> TabularDataset:
@@ -241,6 +206,26 @@ def predict_proba(model: BoosterModel, data: TabularDataset):
     """Class probabilities of every tree (see ``staged_proba``)."""
     (p,) = staged_proba(model, data, [len(model.trees[0])])
     return p
+
+
+def loss_history(model: BoosterModel, data: TabularDataset):
+    """Each round's mean loss on ``data``: the loss of the model cut to that
+    round, averaged over each score column's rows, then over the columns in
+    class order (see ``staged_raw``). ``data`` must be encoded through the
+    model's classes; ``align`` it first."""
+    if data.n_samples == 0:
+        raise DataError("empty dataset")
+    if data.class_names != model.class_names:
+        raise SchemaMismatchError(f"the data's classes {data.class_names} are not the model's "
+                                  f"{model.class_names}; align the data first")
+    spec = model.config.loss
+    targets = column_targets(np.asarray(data.labels), model.config.n_classes)
+    history = []
+    for z in staged_raw(model, data, range(1, len(model.trees[0]) + 1)):
+        scores = z[None] if model.is_binary else z.T
+        history.append(float(np.mean([np.mean(loss_value(spec, make_phat(yk, sigmoid(zk))))
+                                      for yk, zk in zip(targets, scores)])))
+    return history
 
 
 def serialize(model: BoosterModel) -> str:

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .booster import BoosterConfig, align, deserialize, fit, predict_proba, serialize
+from .booster import BoosterConfig, align, deserialize, fit, loss_history, predict_proba, serialize
 from .data import write_csv
 from .experiment import (DEFAULT_DATASET, ExperimentConfig, MethodSpec, load_experiment_dataset,
                          metric_name, read_results, run_ablation, run_sweep, task_metric)
@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
     with open(os.path.join(args.out, "model.json"), "w", encoding="utf-8") as fh:
         fh.write(serialize(model))
     write_csv(os.path.join(args.out, "train_log.csv"), ["round", "train_loss"],
-              enumerate(model.train_loss_history))
+              enumerate(loss_history(model, data)))
     metric, value = task_metric(predict_proba(model, data), data)
     with open(os.path.join(args.out, "train_report.json"), "w", encoding="utf-8") as fh:
         json.dump({"metric": metric, "train_value": value,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -64,6 +64,8 @@ class MethodSpec:
     def __post_init__(self):
         # every grid point must be a valid booster config before a sweep starts,
         # also the r and q values that candidates() drops for this family
+        for name in ("grid_r", "grid_q", "grid_lr", "grid_rounds"):
+            check_unique(getattr(self, name), ValueError, f"method {self.name!r}: {name} repeats")
         grid = self._grid(self.grid_r, self.grid_q)
         if not grid:
             raise ValueError(f"method {self.name!r} has an empty grid")
@@ -288,13 +290,13 @@ def run_ablation(cfg: ExperimentConfig, out_dir: str, dataset: TabularDataset, d
                      out_dir, dataset, dataset_name)
 
 
-RESULT_COLUMNS = ("dataset", "method", "gamma", "repeat", "metric", "value", "params")
+# results.csv's columns, SweepRow's fields, with the type read_results parses each as
+RESULT_COLUMNS = {"dataset": str, "method": str, "gamma": float, "repeat": int,
+                  "metric": str, "value": float, "params": str}
 
 
 def _write_results(rows, path):
-    write_csv(path, RESULT_COLUMNS,
-              ((r.dataset, r.method, r.gamma, r.repeat, r.metric, r.value, r.params)
-               for r in rows))
+    write_csv(path, list(RESULT_COLUMNS), map(astuple, rows))
 
 
 def _write_summary(rows, path):
@@ -306,6 +308,8 @@ def _write_summary(rows, path):
 
 
 def read_results(path):
+    """The rows of a ``results.csv``. A cell that does not parse raises
+    ``ValueError`` naming the file, its line and its column."""
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -313,7 +317,12 @@ def read_results(path):
         if absent:
             raise ValueError(f"{path} lacks the column(s) {', '.join(map(repr, absent))}")
         for rec in reader:
-            rows.append(SweepRow(rec["dataset"], rec["method"], float(rec["gamma"]),
-                                 int(rec["repeat"]), rec["metric"],
-                                 float(rec["value"]), rec["params"]))
+            cells = {}
+            for name, parse in RESULT_COLUMNS.items():
+                try:
+                    cells[name] = parse(rec[name])
+                except (TypeError, ValueError):  # TypeError: a short row's missing cell
+                    raise ValueError(f"{path}: line {reader.line_num}, column {name!r}: "
+                                     f"cannot read {rec[name]!r} as {parse.__name__}") from None
+            rows.append(SweepRow(**cells))
     return rows

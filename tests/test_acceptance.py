@@ -12,7 +12,7 @@ import numpy.testing as npt
 import pytest
 
 from robustboost import synthetic
-from robustboost.booster import BoosterConfig, fit, predict_proba, predict_raw
+from robustboost.booster import BoosterConfig, fit, loss_history, predict_proba, predict_raw
 from robustboost.cli import main as cli_main
 from robustboost.data import from_arrays
 from robustboost.experiment import (ExperimentConfig, MethodSpec, Q_ZERO,
@@ -228,7 +228,7 @@ def test_criterion_07_convex_monotonicity():
     cfg = BoosterConfig(loss=LossSpec("cce"), tree=TreeConfig(lam=0.0, max_depth=4),
                         learning_rate=0.3, n_rounds=100)
     model = fit(data, cfg)
-    hist = np.array(model.train_loss_history)
+    hist = np.array(loss_history(model, data))
     mono = bool(np.all(np.diff(hist) <= 1e-12))
     final = aucpr(predict_proba(model, data)[:, 1], data.labels)
     dt = budget(7, "convex monotonicity", t0, 10.0)

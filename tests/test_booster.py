@@ -15,10 +15,10 @@ from robustboost import synthetic
 from robustboost import tree as tree_module
 from robustboost.booster import (MODEL_FORMAT_VERSION, BoosterConfig, BoosterConfigError,
                                  DataError, ModelFormatError, SchemaMismatchError,
-                                 align, deserialize, fit, predict_proba, predict_raw,
-                                 serialize)
+                                 align, column_targets, deserialize, fit, loss_history,
+                                 predict_proba, predict_raw, serialize)
 from robustboost.data import TabularDataset, from_arrays
-from robustboost.losses import FAMILIES, LossSpec
+from robustboost.losses import FAMILIES, LossSpec, loss_value, make_phat, sigmoid
 from robustboost.metrics import accuracy, aucpr
 from robustboost.tree import TREE_FIELDS, TreeConfig, grow_tree, presort
 
@@ -79,8 +79,7 @@ class TestFitBasics:
         data = synthetic.make("separable", seed=0)
         cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), learning_rate=0.3,
                             n_rounds=40)
-        model = fit(data, cfg)
-        hist = np.array(model.train_loss_history)
+        hist = np.array(loss_history(fit(data, cfg), data))
         assert hist.size == 40
         assert np.all(np.diff(hist) <= 1e-12)
 
@@ -132,49 +131,24 @@ class TestValidationAndEarlyStopping:
         idx = np.arange(data.n_samples)
         return data.subset(idx[:1500]), data.subset(idx[1500:])
 
-    def test_valid_history_recorded(self):
-        train, valid = self.split()
-        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=10)
-        model = fit(train, cfg, valid=valid)
-        assert len(model.valid_loss_history) == 10
-
     @pytest.mark.parametrize("n_rounds", [None, 1])
     def test_an_empty_validation_set_raises(self, n_rounds):
-        # it used to record NaN losses with a RuntimeWarning; it is refused
-        # before any round grows, for the default round count and for one
+        # refused before any round is scored, not averaged into NaN with a RuntimeWarning
         train, valid = self.split()
         rounds = {} if n_rounds is None else {"n_rounds": n_rounds}
-        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), **rounds)
-        with pytest.raises(DataError, match="empty validation set"):
-            fit(train, cfg, valid=valid.subset(np.arange(0)))
+        model = fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), **rounds))
+        with pytest.raises(DataError, match="empty dataset"):
+            loss_history(model, valid.subset(np.arange(0)))
 
-    def named_split(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(120, 3))
-        X[rng.random(X.shape) < 0.1] = np.nan
-        y = (np.nan_to_num(X[:, 0]) + 0.5 * np.nan_to_num(X[:, 2]) > 0).astype(int)
-        names = dict(feature_names=["a", "b", "c"], class_names=["neg", "pos"])
-        return from_arrays(X[:80], y[:80], **names), X[80:], y[80:]
-
-    def test_valid_is_matched_to_the_training_data_by_name(self):
-        train, X, y = self.named_split()
-        cfg = BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=6)
-        ordered = from_arrays(X, y, feature_names=["a", "b", "c"], class_names=["neg", "pos"])
-        reordered = from_arrays(X[:, ::-1], 1 - y, feature_names=["c", "b", "a"],
-                                class_names=["pos", "neg"])
-        history = fit(train, cfg, valid=ordered).valid_loss_history
-        assert fit(train, cfg, valid=reordered).valid_loss_history == history
-
-    @pytest.mark.parametrize("features,classes,named", [
-        (["a", "b", "d"], ["neg", "pos"], r"missing \['c'\], extra \['d'\]"),
-        (["a", "b", "c"], ["neg", "pos", "maybe"], r"labels \['maybe'\]"),
-    ])
-    def test_valid_with_another_schema_raises(self, features, classes, named):
-        train, X, y = self.named_split()
-        y = np.where(np.arange(y.size) == 0, len(classes) - 1, y)  # every class has a row
-        valid = from_arrays(X, y, feature_names=features, class_names=classes)
-        with pytest.raises(SchemaMismatchError, match=named):
-            fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=2), valid=valid)
+    def test_a_validation_set_is_scored_only_once_aligned(self):
+        # the same rows with the class names in the other order: the codes mean other classes
+        train, valid = self.split()
+        model = fit(train, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=4))
+        swapped = TabularDataset(valid.columns, 1 - valid.labels, valid.feature_names,
+                                 valid.class_names[::-1])
+        with pytest.raises(SchemaMismatchError, match="align the data first"):
+            loss_history(model, swapped)
+        assert loss_history(model, align(model, swapped)) == loss_history(model, valid)
 
 
 class TestSerialization:
@@ -373,9 +347,11 @@ def test_serialize_roundtrip_predict_raw_bitwise(n_classes, seed, family, missin
     valid = from_arrays(X[60:], y[60:], class_names=names)
     cfg = BoosterConfig(loss=LossSpec(family), tree=tiny_tree(lam=1.0), learning_rate=0.5,
                         n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample)
-    model = fit(train, cfg, valid=valid)
+    model = fit(train, cfg)
     restored = deserialize(serialize(model))
+    assert restored == model
     for data in (train, valid):
+        assert loss_history(restored, data) == loss_history(model, data)
         raw = predict_raw(model, data)
         assert raw.shape == ((data.n_samples,) if n_classes == 2 else (data.n_samples, 3))
         back = predict_raw(restored, data)
@@ -433,10 +409,10 @@ def test_one_sort_per_fit_matches_a_sort_per_tree(n_classes, seed, missing_rate,
     valid = from_arrays(X[60:], y[60:], class_names=names)
     cfg = BoosterConfig(loss=LossSpec("rfl", r=1.0), tree=tiny_tree(lam=1.0), learning_rate=0.5,
                         n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample)
-    model = fit(train, cfg, valid=valid)
+    model = fit(train, cfg)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(booster_module, "grow_tree", grow_on_its_own_sort)
-        reference = fit(train, cfg, valid=valid)
+        reference = fit(train, cfg)
     assert serialize(model) == serialize(reference)
     for data in (train, valid):
         assert predict_raw(model, data).tobytes() == predict_raw(reference, data).tobytes()
@@ -490,17 +466,16 @@ def multiclass_split(seed, n_classes, missing_rate=0.1, n=120, n_features=3):
        family=st.sampled_from(FAMILIES), missing_rate=st.floats(0.0, 0.3),
        subsample=st.sampled_from([0.6, 1.0]))
 def test_pooled_fit_equals_the_in_process_fit(n_classes, seed, family, missing_rate, subsample):
-    train, valid = multiclass_split(seed, n_classes, missing_rate)
+    train, _ = multiclass_split(seed, n_classes, missing_rate)
     cfg = BoosterConfig(loss=LossSpec(family), tree=tiny_tree(lam=1.0), learning_rate=0.5,
                         n_rounds=8, n_classes=n_classes, seed=seed, subsample=subsample)
 
     def fit_on(cores):
         with pytest.MonkeyPatch.context() as patch:
             pools = record_pools(patch, cores)
-            model = fit(train, cfg, valid=valid)
+            model = fit(train, cfg)
         assert pools == ([] if cores == 1 else [min(cores, n_classes)])
-        return (serialize(model), np.array(model.train_loss_history).tobytes(),
-                np.array(model.valid_loss_history).tobytes())
+        return serialize(model)
 
     reference = fit_on(1)
     assert fit_on(2) == reference
@@ -579,28 +554,24 @@ def test_fit_workers_take_the_data_they_inherit(monkeypatch):
     assert pools == [2, 2]
 
 
-def column_targets(data):
-    if data.n_classes == 2:
-        return [data.labels]
-    return [(data.labels == k).astype(np.int64) for k in range(data.n_classes)]
-
-
 @pytest.mark.parametrize("n_classes", [2, 3])
 @pytest.mark.parametrize("cores", [1, 2])
-def test_train_loss_history_is_the_loss_of_each_cut_model(monkeypatch, n_classes, cores):
+def test_loss_history_is_the_loss_of_each_cut_model(monkeypatch, n_classes, cores):
     pools = record_pools(monkeypatch, cores)
     train, _ = multiclass_split(3, n_classes)
     cfg = BoosterConfig(loss=LossSpec("rfl", r=1.0), tree=tiny_tree(lam=1.0), learning_rate=0.5,
                         n_rounds=6, n_classes=n_classes, seed=5, subsample=0.7)
     model = fit(train, cfg)
     assert pools == ([2] if cores == 2 and n_classes > 2 else [])
-    assert len(model.train_loss_history) == cfg.n_rounds
-    for t, loss in enumerate(model.train_loss_history):
+    history = loss_history(model, train)
+    assert len(history) == cfg.n_rounds
+    for t, loss in enumerate(history):
         cut = replace(model, trees=[lst[: t + 1] for lst in model.trees])
         raw = predict_raw(cut, train)
         z = raw[None] if n_classes == 2 else raw.T
-        assert loss == float(np.mean([booster_module._column_loss(cfg.loss, yk, z[k])
-                                      for k, yk in enumerate(column_targets(train))]))
+        targets = column_targets(train.labels, n_classes)
+        assert loss == float(np.mean([np.mean(loss_value(cfg.loss, make_phat(yk, sigmoid(z[k]))))
+                                      for k, yk in enumerate(targets)]))
 
 
 @pytest.mark.parametrize("cores", [1, 2])

@@ -287,6 +287,8 @@ class TestExitCodes:
         ("ablate", "fraction = 1.5", "fraction"),
         ("sweep", "methods = rfl,cce,rfl", "methods repeats 'rfl'"),
         ("ablate", "noise_levels = 0.2,0.0,0.2", "noise_levels repeats 0.2"),
+        ("sweep", "grid_r = 1,2,1", "grid_r repeats 1.0"),
+        ("ablate", "grid_lr = 0.1,0.1", "grid_lr repeats 0.1"),
     ])
     def test_configuration_errors_exit_2(self, tmp_path, capsys, command, line, named):
         text = TRAIN_CFG if command == "train" else SWEEP_CFG
@@ -608,6 +610,26 @@ def test_report_on_a_results_file_that_lacks_columns_exits_1(tmp_path, capsys):
     assert code == EXIT_RUNTIME
     assert (f"{results} lacks the column(s) 'repeat', 'metric', 'value', 'params'"
             in capsys.readouterr().err)
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("column,cell,named", [
+    ("repeat", "x", "column 'repeat': cannot read 'x' as int"),
+    ("gamma", "", "column 'gamma': cannot read '' as float"),
+    ("value", "0.8.1", "column 'value': cannot read '0.8.1' as float"),
+])
+def test_report_names_the_file_line_and_column_of_a_bad_cell(tmp_path, capsys, column, cell,
+                                                             named):
+    results = write_results(tmp_path, TIED_RESULTS)
+    lines = open(results).read().splitlines()
+    header, row = lines[0].split(","), lines[3].split(",")
+    row[header.index(column)] = cell
+    lines[3] = ",".join(row)
+    with open(results, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    code = main(["report", "--results", results, "--out", str(tmp_path / "rep")])
+    assert code == EXIT_RUNTIME
+    assert f"error: {results}: line 4, {named}\n" == capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
 
 

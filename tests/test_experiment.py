@@ -109,6 +109,14 @@ def test_method_spec_rejects_invalid_grids(fields):
         MethodSpec(name="rfl", family="rfl", **fields)
 
 
+@pytest.mark.parametrize("name", ["grid_r", "grid_q", "grid_lr", "grid_rounds"])
+def test_method_spec_rejects_repeated_grid_values(name):
+    grid = {"grid_r": (1.0, 2.0, 1.0), "grid_q": (0.5, 0.7, 0.5),
+            "grid_lr": (0.1, 0.1), "grid_rounds": (3, 5, 3)}[name]
+    with pytest.raises(ValueError, match=re.escape(f"method 'rfl': {name} repeats {grid[0]!r}")):
+        MethodSpec(name="rfl", family="rfl", **{name: grid})
+
+
 def exhaustive_fit_tuned(train, method, tree, tune_fraction, tune_seed, model_seed):
     """fit_tuned as one fit per candidate: the reference for the staged search."""
     candidates = method.candidates()
@@ -139,8 +147,8 @@ def exhaustive_fit_tuned(train, method, tree, tune_fraction, tune_seed, model_se
 @given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
        family=st.sampled_from(["cce", "rfl", "gce"]),
        grid_r=st.sampled_from([(1.0,), (0.5, 2.0)]),
-       grid_lr=st.lists(st.sampled_from([0.1, 0.3, 0.8]), min_size=1, max_size=2),
-       grid_rounds=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+       grid_lr=st.lists(st.sampled_from([0.1, 0.3, 0.8]), min_size=1, max_size=2, unique=True),
+       grid_rounds=st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True))
 def test_staged_tuning_matches_one_fit_per_candidate(n_classes, seed, family, grid_r, grid_lr,
                                                      grid_rounds):
     rng = np.random.default_rng(seed)
@@ -187,7 +195,7 @@ def truncating_fit_tuned(train, method, tree, tune_fraction, tune_seed, model_se
 @given(n_classes=st.sampled_from([2, 3]), seed=st.integers(0, 2**16),
        family=st.sampled_from(["cce", "rfl"]),
        grid_lr=st.sampled_from([(0.3,), (0.8, 0.1)]),
-       grid_rounds=st.sampled_from([(9, 3, 5), (6, 6, 8), (2, 7, 2, 1), (4,), (5, 5)]))
+       grid_rounds=st.sampled_from([(9, 3, 5), (6, 8), (2, 7, 1), (4,), (8, 6, 7, 2)]))
 def test_round_by_round_scores_match_predicting_each_cut_model(n_classes, seed, family, grid_lr,
                                                                grid_rounds):
     rng = np.random.default_rng(seed)
@@ -264,7 +272,7 @@ def test_fit_tuned_predicts_each_tuning_tree_once_on_the_tuning_rows(monkeypatch
     monkeypatch.setattr(Tree, "predict", counted)
     train = sweep_dataset(n_classes, seed=3)
     method = MethodSpec(name="rfl", family="rfl", grid_r=(0.5, 2.0), grid_q=(0.5,),
-                        grid_lr=(0.1, 0.3), grid_rounds=(5, 2, 5))
+                        grid_lr=(0.1, 0.3), grid_rounds=(5, 2, 3))
     fit_tuned(train, method, TreeConfig(max_leaves=4), tune_fraction=0.75, tune_seed=1,
               model_seed=2)
     n_tuning = len(train_test_split(train, 0.75, seed=1, stratified=True).test_indices)
