@@ -16,7 +16,9 @@ bitwise unchanged, so two commits can be compared with ``diff``:
   cells and row subsampling,
   and with ``min_samples_leaf > 1`` and ``min_gain > 0``, with ``lam = 0``,
   and on unrounded features (all values distinct), with and without
-  missing cells.
+  missing cells;
+- the files of ``robustboost train`` and ``predict`` on a CSV that starts
+  with a UTF-8 byte-order mark and whose class tokens need quoting.
 
 Usage, from the repository root:
 
@@ -31,11 +33,13 @@ both through ``listing()`` and compares them with the committed listing
 file and names the lines that moved.
 """
 
+import codecs
 import contextlib
 import hashlib
 import io
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 
@@ -233,11 +237,29 @@ def fit_digests():
             yield digest_line(f"{name}/{part}", data)
 
 
+def quoted_class_digests(tmp):
+    csv_path = os.path.join(tmp, "quoted.csv")
+    data = noisy_dataset(np.random.default_rng(600), 300, 2)
+    dump_csv(replace(data, class_names=["a,b", 'say "hi"']), csv_path)
+    with open(csv_path, "rb") as fh:
+        text = fh.read()
+    with open(csv_path, "wb") as fh:
+        fh.write(codecs.BOM_UTF8 + text)
+    cfg = os.path.join(tmp, "train_quoted.cfg")
+    with open(cfg, "w") as fh:
+        fh.write(TRAIN_CFG.replace("synthetic:separable", csv_path))
+    run_cli(["train", "--config", cfg, "--out", os.path.join(tmp, "train_quoted"), "--seed", "1"])
+    run_cli(["predict", "--model", os.path.join(tmp, "train_quoted", "model.json"),
+             "--data", csv_path, "--out", os.path.join(tmp, "predict_quoted")])
+    yield from dir_lines("train_quoted", os.path.join(tmp, "train_quoted"))
+    yield from dir_lines("predict_quoted", os.path.join(tmp, "predict_quoted"))
+
+
 def listing():
     """The listing's ``name sha256`` lines, in order."""
     with tempfile.TemporaryDirectory() as tmp:
-        lines = [*cli_digests(tmp), *sweep_digests(tmp)]
-    return lines + list(fit_digests())
+        lines = [*cli_digests(tmp), *sweep_digests(tmp), *fit_digests()]
+        return lines + list(quoted_class_digests(tmp))
 
 
 def main():

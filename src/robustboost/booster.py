@@ -165,11 +165,12 @@ def staged_raw(model: BoosterModel, data: TabularDataset, stages):
     """The raw scores, lr * sum of tree outputs, of the model cut to each of
     the ascending round counts ``stages`` in turn; each tree is evaluated
     once. Binary models give shape (n,), multi-class (n, n_classes). Every
-    stage yields the same array, which the next stage adds to.
+    stage yields the same array, which the next stage adds to. ``data`` must
+    hold the model's features in its order; ``align`` it first.
     """
-    if data.n_features != len(model.feature_names):
-        raise SchemaMismatchError(
-            f"model expects {len(model.feature_names)} features, got {data.n_features}")
+    if data.feature_names != model.feature_names:
+        raise SchemaMismatchError(f"the data's features {data.feature_names} are not the "
+                                  f"model's {model.feature_names}; align the data first")
     z = np.zeros((data.n_samples, len(model.trees)))
     done = 0
     for rounds in stages:

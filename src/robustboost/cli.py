@@ -162,8 +162,9 @@ def cmd_train(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "model.json"), "w", encoding="utf-8") as fh:
         fh.write(serialize(model))
+    history = loss_history(model, data)
     write_csv(os.path.join(args.out, "train_log.csv"), ["round", "train_loss"],
-              enumerate(loss_history(model, data)))
+              [range(len(history)), history])
     metric, value = task_metric(predict_proba(model, data), data)
     with open(os.path.join(args.out, "train_report.json"), "w", encoding="utf-8") as fh:
         json.dump({"metric": metric, "train_value": value,
@@ -184,7 +185,7 @@ def cmd_predict(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "predictions.csv"),
               ["index"] + [f"proba_{k}" for k in range(proba.shape[1])] + ["label"],
-              zip(range(proba.shape[0]), *proba.T.tolist(), tokens))
+              [range(proba.shape[0]), *proba.T.tolist(), tokens])
     metric = metric_name(data.n_classes)
     try:
         report = {"metric": metric, "value": task_metric(proba, data)[1]}
@@ -230,8 +231,7 @@ def cmd_report(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "ranks.csv"),
               ["method", "average_rank"] + [f"top_{n}" for n in range(1, len(methods) + 1)],
-              ([name, float(table.average_rank[i]), *table.top_n_counts[i].tolist()]
-               for i, name in enumerate(methods)))
+              [methods, table.average_rank.tolist(), *table.top_n_counts.T.tolist()])
     print(f"rank table over {len(keys)} dataset/noise cells written to {args.out}/ranks.csv")
     return EXIT_OK
 

@@ -5,12 +5,17 @@ cells, CSV loading, and deterministic train/test splitting.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_MISSING_TOKENS = ("", "NA", "NaN", "?")
+# each missing token mapped to the text that float() reads as NaN
+MISSING = dict.fromkeys(DEFAULT_MISSING_TOKENS, "nan")
+BLOCK_ROWS = 1024  # rows load_csv and write_csv handle at a time
+QUOTED = ',"\r\n'  # what a CSV cell holds that makes it quoted
 
 
 class CsvParseError(ValueError):
@@ -105,7 +110,13 @@ def from_arrays(X, y, feature_names=None, class_names=None) -> TabularDataset:
 def load_csv(path, label_column) -> TabularDataset:
     """Load a headered CSV. Feature cells must be finite numbers or a missing
     token, which becomes NaN; labels must be present and are encoded by first
-    appearance. No imputation is performed. A UTF-8 byte-order mark is skipped."""
+    appearance. No imputation is performed. A UTF-8 byte-order mark is skipped.
+
+    Rows are read in blocks of ``BLOCK_ROWS``, and each block is parsed a
+    column at a time. A block is checked whole before the next is read; one
+    that holds an error is read again row by row to name the first one, as a
+    row-by-row reader would: at a row, a wrong cell count, then a missing
+    label, then the cells left to right."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -116,62 +127,122 @@ def load_csv(path, label_column) -> TabularDataset:
         if label_column not in header:
             raise CsvParseError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+        features = [i for i in range(len(header)) if i != label_idx]
 
-        values, raw_labels = [], []
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvParseError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
-            if row[label_idx] in DEFAULT_MISSING_TOKENS:
-                raise CsvParseError(f"{path}: row {row_no}, column {label_column!r}: "
-                                    f"missing label {row[label_idx]!r}")
-            raw_labels.append(row[label_idx])
-            vrow = []
-            for i, cell in enumerate(row):
-                if i == label_idx:
-                    continue
-                if cell in DEFAULT_MISSING_TOKENS:
-                    vrow.append(math.nan)
-                    continue
-                try:
-                    v = float(cell)
-                except ValueError:
-                    v = math.nan  # reported below, with the non-finite numbers
-                if not math.isfinite(v):
-                    raise CsvParseError(
-                        f"{path}: row {row_no}, column {header[i]!r}: "
-                        f"{cell!r} is not a finite number or a missing token"
-                    )
-                vrow.append(v)
-            values.append(vrow)
+        blocks, label_blocks, codes = [np.empty((len(features), 0))], [np.empty(0, np.int64)], {}
+        row_no = 2  # the file's first data row
+        while True:
+            rows = []
+            try:
+                rows.extend(itertools.islice(reader, BLOCK_ROWS))
+            except (csv.Error, UnicodeDecodeError):  # an earlier row's error comes first
+                _raise_first_error(path, header, label_idx, rows, row_no)
+                raise
+            if not rows:
+                break
+            block = _parse_block(rows, len(header), label_idx, features)
+            if block is None:
+                _raise_first_error(path, header, label_idx, rows, row_no)
+            values, labels = block
+            for tok in dict.fromkeys(labels):  # first-appearance order
+                codes.setdefault(tok, len(codes))
+            blocks.append(values)
+            label_blocks.append(np.fromiter(map(codes.__getitem__, labels), np.int64, len(labels)))
+            row_no += len(rows)
 
-    class_names = []
-    seen = {}
-    labels = np.empty(len(raw_labels), dtype=np.int64)
-    for i, tok in enumerate(raw_labels):
-        if tok not in seen:
-            seen[tok] = len(class_names)
-            class_names.append(tok)
-        labels[i] = seen[tok]
-
-    V = np.array(values, dtype=float).reshape(len(values), len(feature_names))
     return TabularDataset(
-        columns=np.ascontiguousarray(V.T),
-        labels=labels,
-        feature_names=feature_names,
-        class_names=class_names,
+        columns=np.concatenate(blocks, axis=1),
+        labels=np.concatenate(label_blocks),
+        feature_names=[header[i] for i in features],
+        class_names=list(codes),
     )
 
 
-def write_csv(path, header, rows):
-    """Write ``header``, then ``rows``, to ``path`` as UTF-8 CSV in the default
-    dialect: every table the program writes. A cell is written with ``str``, which
-    for a Python float is its repr, so pass Python floats (``float(x)``,
-    ``.tolist()``), never numpy scalars."""
+def _parse_block(rows, width, label_idx, features):
+    """The (len(features), len(rows)) values and the label tokens of ``rows``,
+    or None if any row holds an error."""
+    if {*map(len, rows)} != {width}:
+        return None
+    cells = list(itertools.chain.from_iterable(rows))
+    labels = cells[label_idx::width]
+    if not MISSING.keys().isdisjoint(labels):
+        return None
+    values = np.empty((len(features), len(rows)))
+    for j, i in enumerate(features):
+        column = cells[i::width]
+        try:
+            values[j] = np.fromiter(map(float, map(MISSING.get, column, column)), float,
+                                    len(rows))
+        except ValueError:  # a cell that is not a number
+            return None
+        bad = ~np.isfinite(values[j])
+        # NaN from a missing token is allowed; a NaN or inf from a number is not
+        if bad.any() and not MISSING.keys() >= {column[k] for k in bad.nonzero()[0]}:
+            return None
+    return values, labels
+
+
+def _raise_first_error(path, header, label_idx, rows, row_no):
+    """Raise CsvParseError for the first error in ``rows``, the first of which
+    is the file's row ``row_no``; return if they hold none."""
+    for row_no, row in enumerate(rows, start=row_no):
+        if len(row) != len(header):
+            raise CsvParseError(f"{path}: row {row_no} has {len(row)} cells, "
+                                f"expected {len(header)}")
+        if row[label_idx] in MISSING:
+            raise CsvParseError(f"{path}: row {row_no}, column {header[label_idx]!r}: "
+                                f"missing label {row[label_idx]!r}")
+        for i, cell in enumerate(row):
+            if i == label_idx or cell in MISSING:
+                continue
+            try:
+                v = float(cell)
+            except ValueError:
+                v = math.nan  # reported below, with the non-finite numbers
+            if not math.isfinite(v):
+                raise CsvParseError(
+                    f"{path}: row {row_no}, column {header[i]!r}: "
+                    f"{cell!r} is not a finite number or a missing token"
+                )
+
+
+def write_csv(path, header, columns):
+    """Write ``header``, then the rows of ``columns``, one sequence of cells per
+    header name, to ``path`` as UTF-8 CSV in the default dialect: every table
+    the program writes. The bytes are those of ``csv.writer``: a cell is
+    written with ``str``, which for a Python float is its repr, so pass Python
+    floats (``float(x)``, ``.tolist()``), never numpy scalars; None is written
+    empty; a cell is quoted only when it holds a comma, a quote or a line break.
+    The rows are formatted in blocks of ``BLOCK_ROWS``, a column at a time."""
+    lengths = {*map(len, columns)}
+    if len(header) != len(columns) or len(lengths) > 1:
+        raise ValueError(f"{len(header)} header names for columns of lengths "
+                         f"{[len(column) for column in columns]}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(_csv_rows([[name] for name in header]))
+        for start in range(0, max(lengths, default=0), BLOCK_ROWS):
+            fh.write(_csv_rows([column[start:start + BLOCK_ROWS] for column in columns]))
+
+
+def _csv_rows(columns):
+    """The CSV text, line ends included, of the rows of ``columns``: each
+    column is quoted cell by cell only if its joined text needs quoting."""
+    texts = []
+    for column in columns:
+        text = list(map(str, column))
+        if "None" in text:  # the text of None, or of the string "None"
+            text = ["" if v is None else str(v) for v in column]
+        if _quoted("".join(text)):
+            text = ['"' + t.replace('"', '""') + '"' if _quoted(t) else t for t in text]
+        texts.append(text)
+    if len(texts) == 1:  # a row of one empty cell is written "", not as a blank line
+        texts[0] = [t or '""' for t in texts[0]]
+    return "\r\n".join(map(",".join, zip(*texts))) + "\r\n"
+
+
+def _quoted(text):
+    """Whether ``text`` holds a character that makes a CSV cell quoted."""
+    return any(c in text for c in QUOTED)
 
 
 def dump_csv(dataset: TabularDataset, path):
@@ -188,8 +259,9 @@ def dump_csv(dataset: TabularDataset, path):
             raise ValueError(f"class name {name!r} would read back as a missing label")
         if not rows:
             raise ValueError(f"class {name!r} has no row, so it would not read back")
-    write_csv(path, header, ([*("NA" if v != v else v for v in values), dataset.class_names[k]]
-                             for values, k in zip(dataset.columns.T.tolist(), dataset.labels)))
+    write_csv(path, header, [*(["NA" if v != v else v for v in column]
+                               for column in dataset.columns.tolist()),
+                             [dataset.class_names[k] for k in dataset.labels.tolist()]])
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import itertools
 import os
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -296,15 +296,18 @@ RESULT_COLUMNS = {"dataset": str, "method": str, "gamma": float, "repeat": int,
 
 
 def _write_results(rows, path):
-    write_csv(path, list(RESULT_COLUMNS), map(astuple, rows))
+    write_csv(path, list(RESULT_COLUMNS), [[getattr(r, name) for r in rows]
+                                           for name in RESULT_COLUMNS])
 
 
 def _write_summary(rows, path):
     cells = {}
     for r in rows:
         cells.setdefault((r.dataset, r.method, r.gamma, r.metric), []).append(r.value)
+    keys = sorted(cells)
     write_csv(path, ["dataset", "method", "gamma", "metric", "mean_value"],
-              ((*key, float(np.mean(vals))) for key, vals in sorted(cells.items())))
+              [*([key[i] for key in keys] for i in range(4)),
+               [float(np.mean(cells[key])) for key in keys]])
 
 
 def read_results(path):

@@ -91,4 +91,4 @@ def inject_multiclass(labels, n_classes: int, spec: NoiseSpec):
 
 def write_flip_log(log, path):
     write_csv(path, ["sample_index", "old_label", "new_label"],
-              ((f.index, f.old_label, f.new_label) for f in log))
+              [[f.index for f in log], [f.old_label for f in log], [f.new_label for f in log]])

@@ -188,8 +188,9 @@ def leaf_weight(sum_g: float, sum_h: float, lam: float) -> float:
 
 def route_left(vals, default_left, threshold):
     """Which of ``vals`` a split sends left: missing (NaN) ones when
-    ``default_left``, present ones when ``<= threshold``."""
-    return np.where(np.isnan(vals), default_left, vals <= threshold)
+    ``default_left``, present ones when ``<= threshold``. A comparison with
+    NaN is False, so one comparison routes both."""
+    return ~(vals > threshold) if default_left else vals <= threshold
 
 
 def presort(columns, rows):

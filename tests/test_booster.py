@@ -150,6 +150,19 @@ class TestValidationAndEarlyStopping:
             loss_history(model, swapped)
         assert loss_history(model, align(model, swapped)) == loss_history(model, valid)
 
+    def test_a_dataset_is_scored_only_once_aligned(self):
+        # a model fitted on a, b scoring b, a read each feature as the other
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(100, 2))
+        data = from_arrays(X, (X[:, 0] > 0).astype(int), feature_names=["a", "b"])
+        model = fit(data, BoosterConfig(loss=CCE, tree=tiny_tree(), n_rounds=4))
+        swapped = from_arrays(X[:, ::-1], data.labels, feature_names=["b", "a"],
+                              class_names=data.class_names)
+        for score in (predict_raw, predict_proba, loss_history):
+            with pytest.raises(SchemaMismatchError, match="align the data first"):
+                score(model, swapped)
+        npt.assert_array_equal(predict_raw(model, align(model, swapped)), predict_raw(model, data))
+
 
 class TestSerialization:
     def model_and_data(self, n_classes=2):

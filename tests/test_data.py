@@ -1,6 +1,10 @@
+import csv
+import io
+import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -8,9 +12,120 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from robustboost import data as data_module
 from robustboost.booster import BoosterConfig, BoosterModel, align
-from robustboost.data import (DEFAULT_MISSING_TOKENS, CsvParseError, SplitError, dump_csv,
-                              from_arrays, load_csv, train_test_split, write_csv)
+from robustboost.data import (BLOCK_ROWS, DEFAULT_MISSING_TOKENS, CsvParseError, SplitError,
+                              TabularDataset, dump_csv, from_arrays, load_csv,
+                              train_test_split, write_csv)
+
+
+def load_csv_row_by_row(path, label_column) -> TabularDataset:
+    """The reference loader: one row, then one cell, at a time."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CsvParseError(f"{path}: empty file")
+        data_module.check_unique(header, CsvParseError, f"{path}: repeated header")
+        if label_column not in header:
+            raise CsvParseError(f"{path}: label column {label_column!r} not in header")
+        label_idx = header.index(label_column)
+        feature_names = [h for i, h in enumerate(header) if i != label_idx]
+
+        values, raw_labels = [], []
+        for row_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise CsvParseError(f"{path}: row {row_no} has {len(row)} cells, expected {len(header)}")
+            if row[label_idx] in DEFAULT_MISSING_TOKENS:
+                raise CsvParseError(f"{path}: row {row_no}, column {label_column!r}: "
+                                    f"missing label {row[label_idx]!r}")
+            raw_labels.append(row[label_idx])
+            vrow = []
+            for i, cell in enumerate(row):
+                if i == label_idx:
+                    continue
+                if cell in DEFAULT_MISSING_TOKENS:
+                    vrow.append(math.nan)
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    v = math.nan  # reported below, with the non-finite numbers
+                if not math.isfinite(v):
+                    raise CsvParseError(
+                        f"{path}: row {row_no}, column {header[i]!r}: "
+                        f"{cell!r} is not a finite number or a missing token"
+                    )
+                vrow.append(v)
+            values.append(vrow)
+
+    class_names = []
+    seen = {}
+    labels = np.empty(len(raw_labels), dtype=np.int64)
+    for i, tok in enumerate(raw_labels):
+        if tok not in seen:
+            seen[tok] = len(class_names)
+            class_names.append(tok)
+        labels[i] = seen[tok]
+
+    V = np.array(values, dtype=float).reshape(len(values), len(feature_names))
+    return TabularDataset(
+        columns=np.ascontiguousarray(V.T),
+        labels=labels,
+        feature_names=feature_names,
+        class_names=class_names,
+    )
+
+
+def load_outcome(load, path):
+    """What ``load`` makes of ``path``: its error message, or the dataset's
+    bytes, shapes, dtypes and names."""
+    try:
+        ds = load(path, "label")
+    except CsvParseError as exc:
+        return str(exc)
+    return (ds.columns.tobytes(), ds.columns.shape, ds.columns.dtype,
+            ds.columns.flags["C_CONTIGUOUS"], ds.labels.tobytes(), ds.labels.dtype,
+            ds.feature_names, ds.class_names)
+
+
+NUMBER_CELLS = st.one_of(st.sampled_from(["1", "-2.5", "1e3", "-0.0", " 7 ", "1_0"]),
+                         st.floats(allow_nan=False, allow_infinity=False).map(repr))
+BAD_CELLS = ["oops", "nan", "inf", "-Infinity", "1e400", "0x1"]
+LABEL_TOKENS = ["a", "b", "c,d", 'say "hi"', "\u00e9"]
+
+
+@st.composite
+def csv_files(draw):
+    """A CSV's header and rows: numbers, missing tokens and labels, each row
+    possibly cut short, lengthened, or given a missing label or a bad cell;
+    optionally after a clean block's worth of rows."""
+    width = draw(st.integers(1, 4))
+    label_at = draw(st.integers(0, width - 1))
+    header = [f"c{j}" for j in range(width)]
+    header[label_at] = "label"
+    cells = st.one_of(NUMBER_CELLS, st.sampled_from(DEFAULT_MISSING_TOKENS))
+    row = st.tuples(st.lists(cells, min_size=width - 1, max_size=width - 1),
+                    st.sampled_from(LABEL_TOKENS)).map(
+        lambda t: [*t[0][:label_at], t[1], *t[0][label_at:]])
+    rows = draw(st.lists(row, max_size=12))
+    faults = st.tuples(st.integers(0, len(rows) - 1),
+                       st.sampled_from(["short", "long", "label", "cell", "cell"]),
+                       st.integers(0, width - 1))
+    for at, kind, j in draw(st.lists(faults, max_size=2)) if rows else ():
+        cells = rows[at]
+        if kind == "short" and cells:
+            cells.pop()
+        elif kind == "long":
+            cells.append("1")
+        elif kind == "label" and label_at < len(cells):
+            cells[label_at] = draw(st.sampled_from(DEFAULT_MISSING_TOKENS))
+        elif kind == "cell" and width > 1 and j < len(cells):
+            cells[j if j != label_at else j - 1] = draw(st.sampled_from(BAD_CELLS))
+    # a first error, if any, in a later block than the first
+    rows = [draw(row)] * draw(st.sampled_from([0, 0, BLOCK_ROWS + 5])) + rows
+    return header, rows
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -90,9 +205,40 @@ class TestLoadCsv:
         # every table relies on these: CRLF line ends, minimal quoting, UTF-8,
         # and a Python float written as its repr
         out = tmp_path / "t.csv"
-        write_csv(out, ["x", "y"], [[0.1 + 0.2, -0.0, 7, 'a,"b"', "é"]])
-        assert out.read_bytes() == ('x,y\r\n0.30000000000000004,-0.0,7,"a,""b""",'
+        write_csv(out, ["x", "y", "z", "u", "v"], [[0.1 + 0.2], [-0.0], [7], ['a,"b"'], ["é"]])
+        assert out.read_bytes() == ('x,y,z,u,v\r\n0.30000000000000004,-0.0,7,"a,""b""",'
                                     '\u00e9\r\n').encode("utf-8")
+
+    @given(table=csv_files(), bom=st.booleans(), block_rows=st.sampled_from([1, 2, 5, BLOCK_ROWS]))
+    @settings(max_examples=150, deadline=None)
+    def test_load_csv_matches_the_row_by_row_reference(self, table, bom, block_rows):
+        # the same dataset bit for bit, or the same first error, whatever the block size
+        header, rows = table
+        text = io.StringIO(newline="")
+        csv.writer(text).writerows([header, *rows])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "data.csv")
+            Path(path).write_bytes(text.getvalue().encode("utf-8-sig" if bom else "utf-8"))
+            expected = load_outcome(load_csv_row_by_row, path)
+            with mock.patch.object(data_module, "BLOCK_ROWS", block_rows):
+                assert load_outcome(load_csv, path) == expected
+
+    @given(data=st.data(), width=st.integers(1, 4), n=st.integers(0, 12),
+           block_rows=st.sampled_from([1, 2, 5, BLOCK_ROWS]))
+    @settings(max_examples=200, deadline=None)
+    def test_write_csv_matches_csv_writer(self, data, width, n, block_rows):
+        text = st.text(st.sampled_from(list('ab ,"\r\n\u00e9None')), max_size=6)
+        cell = st.one_of(st.floats(), st.sampled_from([-0.0, 1e300, 0.1 + 0.2, "None", ""]),
+                         st.integers(-10**20, 10**20), st.none(), text)
+        header = data.draw(st.lists(text, min_size=width, max_size=width))
+        columns = [data.draw(st.lists(cell, min_size=n, max_size=n)) for _ in range(width)]
+        expected = io.StringIO(newline="")
+        csv.writer(expected).writerows([header, *zip(*columns)])
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "t.csv"
+            with mock.patch.object(data_module, "BLOCK_ROWS", block_rows):
+                write_csv(out, header, columns)
+            assert out.read_bytes() == expected.getvalue().encode("utf-8")
 
     @given(n=st.integers(1, 40), m=st.integers(1, 5), seed=st.integers(0, 2**16),
            nan_rate=st.sampled_from([0.0, 0.2, 0.7, 1.0]))

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from robustboost import tree as tree_module
 from robustboost.tree import (DENOM_EPS, TREE_FIELDS, GainScenario, SplitCandidate, Tree,
                               TreeConfig, decomposed_gain, best_split, grow_tree, leaf_weight,
-                              partition_sorted, presort)
+                              partition_sorted, presort, route_left)
 
 
 def each_kernel(monkeypatch):
@@ -694,3 +695,45 @@ def test_grown_outputs_are_the_trees_predictions(data, n, m, min_samples_leaf, l
     tree = grow(cols, rows, g, h, config)  # checks the outputs it writes
     if h[rows].sum() < config.min_sum_hessian:
         assert tree.feature == [-1]
+
+
+ROUTE_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.5, 1e300, 5e-324)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), default_left=st.booleans(),
+       vals=st.lists(st.one_of(st.sampled_from(ROUTE_VALUES), st.floats()), max_size=20))
+def test_route_left_is_one_comparison(data, default_left, vals):
+    # thresholds are finite; the cases that matter are a threshold equal to a
+    # value, NaN, the infinities and both zeros
+    vals = np.array(vals, dtype=float)
+    finite = [float(v) for v in vals if np.isfinite(v)] + [0.0, -0.0, 1e300]
+    threshold = data.draw(st.one_of(st.sampled_from(finite),
+                                    st.floats(allow_nan=False, allow_infinity=False)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from comparing NaN
+        go_left = route_left(vals, default_left, threshold)
+    assert go_left.dtype == bool
+    npt.assert_array_equal(go_left, np.where(np.isnan(vals), default_left, vals <= threshold))
+
+
+@pytest.mark.parametrize("missing_left", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n_missing=st.integers(1, 10), max_leaves=st.integers(2, 6),
+       present=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30, unique=True))
+def test_grown_outputs_follow_the_learned_missing_direction(missing_left, data, n_missing,
+                                                            max_leaves, present):
+    # the lower half of the present rows pulls one way and the upper half the
+    # other; the missing rows pull with the lower half when missing_left. With
+    # lam = 0 only that split leaves both children pure, so the root takes it
+    # and sends the missing rows that way
+    cut = sorted(present)[len(present) // 2 - 1]
+    x = np.array(present + [np.nan] * n_missing)
+    g = np.where(x <= cut, -1.0, 1.0)
+    g[np.isnan(x)] = -1.0 if missing_left else 1.0
+    order = np.array(data.draw(st.permutations(range(x.size))))
+    cols, g = columns_from(x[order, None]), g[order]
+    tree = grow(cols, np.arange(x.size), g, np.ones(x.size),  # checks out == predict
+                TreeConfig(lam=0.0, max_leaves=max_leaves))
+    assert tree.feature[0] == 0 and tree.default_left[0] is missing_left
+    npt.assert_array_equal(np.sign(tree.predict(cols)), -g)
