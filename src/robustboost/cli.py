@@ -67,7 +67,7 @@ def non_negative_int(text):
 
 
 def _list(conv):
-    return lambda text: tuple(conv(t.strip()) for t in text.split(",") if t.strip())
+    return lambda text: tuple(conv(t.strip()) for t in text.split(","))
 
 
 def _bool(text):

@@ -131,8 +131,6 @@ def load_experiment_dataset(dataset: str = DEFAULT_DATASET,
 
 
 def _inject(labels, n_classes, rate, seed):
-    if rate == 0.0:
-        return np.asarray(labels).copy(), []
     if n_classes == 2:
         spec = NoiseSpec(rate=rate, protocol="binary_pairflip", seed=seed)
         return inject_binary(labels, spec)

@@ -25,8 +25,10 @@ CATALOG = {
 }
 FAMILIES = tuple(CATALOG)
 
-# Raw scores beyond this magnitude saturate the sigmoid to the point where
-# the Hessian underflows to 0 anyway.
+# sigmoid clamps raw scores to [-Z_CLAMP, Z_CLAMP], which keeps phat strictly
+# inside (0, 1): unclamped, 1 / (1 + exp(-z)) rounds to exactly 1.0 from
+# z ~ 37, and _check_phat would raise. Beyond |z| = 30 the gradient and the
+# Hessian are frozen at their values there (p(1 - p) = 9.3e-14 at z = 30).
 Z_CLAMP = 30.0
 
 
@@ -89,7 +91,7 @@ def make_phat(y, p):
 
 def _safeguarded(spec: LossSpec, phat):
     """Apply the eta perturbation for mae/nce: phat -> phat + eta below 0.5."""
-    if CATALOG[spec.family][0] in ("mae", "nce") and spec.eta > 0.0:
+    if CATALOG[spec.family][0] in ("mae", "nce"):
         return np.where(phat <= 0.5, phat + spec.eta, phat)
     return phat
 
@@ -112,7 +114,7 @@ def _base(spec: LossSpec, u):
         return _gce_value(u, q), -(u ** (q - 1.0)), (1.0 - q) * u ** (q - 2.0)
     if fam == "sce":
         a, b = spec.sce_alpha, spec.sce_beta
-        clipped = np.maximum(u, spec.eta) if spec.eta > 0 else u
+        clipped = np.maximum(u, spec.eta)
         live = u > spec.eta  # below the clip the log term is constant
         return (-a * np.log(clipped) + b * (1.0 - u),
                 np.where(live, -a / u, 0.0) - b,
@@ -135,8 +137,8 @@ def _loss(spec: LossSpec, phat):
         return G, G1, G2
     r = spec.r
     F = (1.0 - u) ** r
-    F1 = -r * (1.0 - u) ** (r - 1.0) if r > 0 else np.zeros_like(u)
-    F2 = r * (r - 1.0) * (1.0 - u) ** (r - 2.0) if r > 0 else np.zeros_like(u)
+    F1 = -r * (1.0 - u) ** (r - 1.0)
+    F2 = r * (r - 1.0) * (1.0 - u) ** (r - 2.0)
     return F * G, F1 * G + F * G1, F2 * G + 2.0 * F1 * G1 + F * G2
 
 

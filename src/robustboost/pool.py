@@ -8,13 +8,12 @@ from __future__ import annotations
 import os
 from functools import partial
 
-_in_worker = False  # set in a pool's worker: its own pools run in-process
-_worker_state = None  # the state of the pool this process works for
+_worker_state = None  # set in a pool's worker, whose own pools run in-process
 
 
 def _init_worker(state):
-    global _in_worker, _worker_state
-    _in_worker, _worker_state = True, state
+    global _worker_state
+    _worker_state = state
 
 
 def _run_task(fn, task):
@@ -33,7 +32,7 @@ def run_tasks(fn, state, tasks):
     """
     tasks = list(tasks)
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = 1 if _in_worker else min(usable, len(tasks))
+    workers = 1 if _worker_state is not None else min(usable, len(tasks))
     if workers <= 1:
         return [fn(state, task) for task in tasks]
     import multiprocessing

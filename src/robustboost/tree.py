@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -104,10 +104,6 @@ class SplitCandidate:
     g_right: float
     h_right: float
     n_left: int
-    n_right: int
-
-
-TREE_FIELDS = ("feature", "threshold", "default_left", "left", "right", "value")
 
 
 @dataclass
@@ -179,6 +175,9 @@ class Tree:
                     f"tree node {i} has children {left!r}, {right!r}; each must lie in ({i}, {n})")
 
 
+TREE_FIELDS = tuple(column.name for column in fields(Tree))
+
+
 def leaf_weight(sum_g: float, sum_h: float, lam: float) -> float:
     """Newton-optimal leaf output -sum_g / (sum_h + lam), or 0.0 when that
     denominator is degenerate (the scan rejects a child's on the same sum)."""
@@ -235,9 +234,7 @@ def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]
 
     cg, ch = g[:n_present].cumsum(), h[:n_present].cumsum()
     n_miss = n - n_present
-    g_miss = h_miss = 0.0  # what the sums of no rows give, signs of zeros included
-    if n_miss:
-        g_miss, h_miss = float(g[n_present:].sum()), float(h[n_present:].sum())
+    g_miss, h_miss = float(g[n_present:].sum()), float(h[n_present:].sum())
     G_tot, H_tot = cg[-1] + g_miss, ch[-1] + h_miss
 
     denom_p = H_tot + config.lam
@@ -282,9 +279,8 @@ def _scan_feature(f, vals, g, h, config: TreeConfig) -> Optional[SplitCandidate]
     c = i if cut is None else int(cut[i])
     lo, hi = float(pv[c]), float(pv[c + 1])
     mid = 0.5 * lo + 0.5 * hi  # cannot overflow; lo where it rounds up to hi
-    n_left = c + 1 + shift
     return SplitCandidate(f, mid if mid < hi else lo, float(gain), shift > 0,
-                          float(gl), float(hl), float(gr), float(hr), n_left, n - n_left)
+                          float(gl), float(hl), float(gr), float(hr), c + 1 + shift)
 
 
 def _scan_node(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandidate]:
@@ -349,8 +345,7 @@ def _scan_node(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandida
     mid = 0.5 * lo + 0.5 * hi  # as in _scan_feature
     n_left = c + 1 + (int(np.isnan(vals[f]).sum()) if d else 0)
     return SplitCandidate(f, mid if mid < hi else lo, float(gain[at]), d == 1,
-                          float(GL[at]), float(HL[at]), float(GR[at]), float(HR[at]),
-                          n_left, n - n_left)
+                          float(GL[at]), float(HL[at]), float(GR[at]), float(HR[at]), n_left)
 
 
 def best_split(columns, rows, g, h, config: TreeConfig) -> Optional[SplitCandidate]:

@@ -289,6 +289,9 @@ class TestExitCodes:
         ("ablate", "noise_levels = 0.2,0.0,0.2", "noise_levels repeats 0.2"),
         ("sweep", "grid_r = 1,2,1", "grid_r repeats 1.0"),
         ("ablate", "grid_lr = 0.1,0.1", "grid_lr repeats 0.1"),
+        ("sweep", "noise_levels = 0.0,,0.3", "'noise_levels' = '0.0,,0.3'"),
+        ("ablate", "grid_rounds = 5,", "'grid_rounds' = '5,'"),
+        ("sweep", "methods = rfl,,cce", "unknown loss family ''"),
     ])
     def test_configuration_errors_exit_2(self, tmp_path, capsys, command, line, named):
         text = TRAIN_CFG if command == "train" else SWEEP_CFG

@@ -162,14 +162,14 @@ class TestBestSplit:
         assert cand is not None
         # routing the positive-gradient missing samples right maximizes gain
         assert cand.default_left is False
-        assert cand.n_left + cand.n_right == 5
+        assert 0 < cand.n_left < 5
 
         # missing rows with g = h = 0 give both directions the same gain:
         # the tie goes to missing right
         g[3:] = h[3:] = 0.0
         cand = best_split(cols, presort(cols, np.arange(5)), g, h, config)
         assert cand.threshold == 2.5 and cand.default_left is False
-        assert (cand.n_left, cand.n_right) == (2, 3)
+        assert cand.n_left == 2
 
     def test_aggregates_sum_to_parent(self):
         rng = np.random.default_rng(3)
@@ -465,7 +465,7 @@ def reference_scan(f, vals, g, h, config):
     mid = 0.5 * lo + 0.5 * hi
     return SplitCandidate(f, mid if mid < hi else lo, float(gain[k]), k >= cut.size,
                           float(GL[k]), float(HL[k]), float(GR[k]), float(HR[k]),
-                          int(NL[k]), int(NR[k]))
+                          int(NL[k]))
 
 
 def reference_best_split(columns, rows, g, h, config):
@@ -609,7 +609,7 @@ def test_split_scan_edge_cases(monkeypatch, x, g, h, lam, min_sum_hessian, min_s
         assert bitwise(cand) == bitwise(expected)
         assert any(rank > 0 for rank in ranks) == masked
         assert cand is not None and cand.gain < 100  # no near-zero denominator chosen
-        assert min(cand.n_left, cand.n_right) >= min_samples_leaf
+        assert min(cand.n_left, len(x) - cand.n_left) >= min_samples_leaf
         assert min(cand.h_left, cand.h_right) >= min_sum_hessian
 
 
